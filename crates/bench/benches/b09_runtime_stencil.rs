@@ -1,10 +1,12 @@
-//! E10 — owner-computes execution: sequential vs parallel executor on the
-//! staggered-grid statement with direct block distributions.
+//! E10 — owner-computes execution: one-shot sequential execution vs a
+//! fresh `Channels` SPMD fleet (one worker per simulated processor) on
+//! the staggered-grid statement with direct block distributions.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpf_bench::{staggered_mappings, staggered_statement, StaggeredScheme};
 use hpf_core::FormatSpec;
-use hpf_runtime::{DistArray, ParExecutor, SeqExecutor};
+use hpf_bench::replay::statement_session;
+use hpf_runtime::{Backend, DistArray, SeqExecutor};
 
 fn arrays(n: i64) -> (Vec<DistArray<f64>>, hpf_runtime::Assignment) {
     let maps = staggered_mappings(n, 2, &StaggeredScheme::Direct(FormatSpec::Block));
@@ -29,11 +31,10 @@ fn bench(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
-        g.bench_with_input(BenchmarkId::new("par4", n), &n, |b, _| {
-            let exec = ParExecutor::with_threads(4);
+        g.bench_with_input(BenchmarkId::new("channels4", n), &n, |b, _| {
             b.iter_batched(
-                || base.clone(),
-                |mut arr| black_box(exec.execute(&mut arr, &stmt).unwrap()),
+                || statement_session(base.clone(), stmt.clone(), Backend::Channels),
+                |mut sess| black_box(sess.run(1).unwrap()),
                 criterion::BatchSize::LargeInput,
             )
         });

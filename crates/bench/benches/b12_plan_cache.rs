@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpf_bench::{staggered_mappings, staggered_statement, StaggeredScheme};
 use hpf_core::FormatSpec;
-use hpf_runtime::{Assignment, DistArray, PlanCache, SeqExecutor};
+use hpf_runtime::{Assignment, DistArray, PlanCache, SeqExecutor, SharedMemBackend};
 
 fn arrays(n: i64) -> (Vec<DistArray<f64>>, Assignment) {
     let maps = staggered_mappings(n, 2, &StaggeredScheme::Direct(FormatSpec::Block));
@@ -30,16 +30,15 @@ fn bench(c: &mut Criterion) {
             let mut arr = base.clone();
             b.iter(|| black_box(SeqExecutor.execute(&mut arr, &stmt).unwrap()))
         });
-        // warm: one inspection, then zero-allocation cached replays into
-        // the cache's per-plan workspace
+        // warm: one inspection, then zero-allocation cached per-statement
+        // timesteps into the cache's workspace, every ghost shipped
         g.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {
             let mut arr = base.clone();
+            let stmts = std::slice::from_ref(&stmt);
             let mut cache = PlanCache::new();
-            cache.replay_seq(&mut arr, &stmt).unwrap(); // populate
-            b.iter(|| {
-                let analysis = cache.replay_seq(&mut arr, &stmt).unwrap();
-                black_box(analysis.remote_reads)
-            })
+            let mut backend = SharedMemBackend::new();
+            cache.step(&mut arr, stmts, false, &mut backend).unwrap(); // populate
+            b.iter(|| cache.step(&mut arr, stmts, false, &mut backend).unwrap())
         });
     }
     g.finish();

@@ -1,23 +1,24 @@
 //! B14 — exchange-backend comparison on the b13 replay workloads.
 //!
-//! Replays the same warm compiled plans through both [`ExchangeBackend`]s:
-//! `shared_mem` (direct copies staged through persistent per-pair buffers,
-//! zero-allocation warm) and `channels` (the true message-passing SPMD
-//! executor — persistent per-processor workers, packed messages over
-//! channels, disjoint ownership). The spread is the cost of *real*
-//! message-passing discipline over the same frozen schedules: ownership
-//! handoff, wire packing, and channel traffic per superstep, amortized by
-//! the persistent worker fleet.
+//! Runs the same one-statement programs per statement through both
+//! [`ExchangeBackend`]s: `shared_mem` (direct copies staged through
+//! persistent per-pair buffers, zero-allocation warm) and `channels` (the
+//! true message-passing SPMD executor — persistent per-processor workers,
+//! packed messages over channels, disjoint ownership). Every warm step
+//! does the full pack → exchange → compute, so the spread is the cost of
+//! *real* message-passing discipline over the same frozen schedules:
+//! ownership handoff, wire packing, and channel traffic per superstep,
+//! amortized by the persistent worker fleet.
 //!
 //! [`ExchangeBackend`]: hpf_runtime::ExchangeBackend
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hpf_bench::replay::{
-    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, stencil_2d,
+    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, statement_session,
+    stencil_2d,
 };
 use hpf_core::FormatSpec;
-use hpf_runtime::{ChannelsBackend, ExchangeBackend, ExecPlan, PlanWorkspace, SharedMemBackend};
-use std::sync::Arc;
+use hpf_runtime::{Backend, ExecPlan};
 use std::time::Instant;
 
 /// Headline numbers for the CI log: warm superstep throughput of both
@@ -28,37 +29,23 @@ fn print_summary() {
         || std::env::var_os("CRITERION_SMOKE").is_some();
     let iters = if smoke { 3 } else { 200 };
     let n = 192i64;
-    let mut arrays = arrays_2d(n, 2, &FormatSpec::Block);
+    let arrays = arrays_2d(n, 2, &FormatSpec::Block);
     let stmt = stencil_2d(n, &arrays);
-    let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-    let mut ws = PlanWorkspace::for_plan(&plan);
+    let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
     let elems = replay_elements(&plan);
 
-    let mut shared = SharedMemBackend::new();
-    shared.step(&plan, &mut arrays, &mut ws).unwrap(); // warm
-    let t = Instant::now();
-    for _ in 0..iters {
-        shared.step(&plan, &mut arrays, &mut ws).unwrap();
-    }
-    let shared_t = t.elapsed();
-
-    let mut channels = ChannelsBackend::new();
-    channels.step(&plan, &mut arrays, &mut ws).unwrap(); // warm (spawns the fleet)
-    let t = Instant::now();
-    for _ in 0..iters {
-        channels.step(&plan, &mut arrays, &mut ws).unwrap();
-    }
-    let channels_t = t.elapsed();
-
-    let rate = |d: std::time::Duration| {
-        (elems as f64 * iters as f64) / d.as_secs_f64() / 1.0e6
+    let rate = |backend| {
+        let mut sess = statement_session(arrays.clone(), stmt.clone(), backend);
+        sess.run(1).unwrap(); // warm (and, for channels, spawn the fleet)
+        let t = Instant::now();
+        sess.run(iters).unwrap();
+        (elems as f64 * iters as f64) / t.elapsed().as_secs_f64() / 1.0e6
     };
+    let (shared, channels) = (rate(Backend::SharedMem), rate(Backend::Channels));
     println!(
-        "b14 summary: 2-D block stencil n={n} — shared_mem {:.0} Melem/s, \
-         channels {:.0} Melem/s, wire {} elements = {} B per superstep \
+        "b14 summary: 2-D block stencil n={n} — shared_mem {shared:.0} Melem/s, \
+         channels {channels:.0} Melem/s, wire {} elements = {} B per superstep \
          over {} pair messages (matches frozen analysis: {})",
-        rate(shared_t),
-        rate(channels_t),
         plan.message_plan().wire_elements(),
         plan.message_plan().wire_bytes(),
         plan.message_plan().pairs().len(),
@@ -80,26 +67,17 @@ fn bench(c: &mut Criterion) {
     let s2 = stencil_2d(n2, &a2);
     let (a3, s3) = cyclic_transpose(65_536, 8);
 
-    for (tag, mut arrays, stmt) in
+    for (tag, arrays, stmt) in
         [("shift_1d_block", a1, s1), ("stencil_2d_block", a2, s2), ("cyclic_transpose", a3, s3)]
     {
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        let mut shared = SharedMemBackend::new();
-        g.bench_function(BenchmarkId::new(tag, "shared_mem"), |b| {
-            b.iter(|| {
-                shared.step(&plan, &mut arrays, &mut ws).unwrap();
-                black_box(());
-            })
-        });
-        let mut channels = ChannelsBackend::new();
-        channels.step(&plan, &mut arrays, &mut ws).unwrap(); // spawn the fleet untimed
-        g.bench_function(BenchmarkId::new(tag, "channels"), |b| {
-            b.iter(|| {
-                channels.step(&plan, &mut arrays, &mut ws).unwrap();
-                black_box(());
-            })
-        });
+        for (name, backend) in [("shared_mem", Backend::SharedMem), ("channels", Backend::Channels)]
+        {
+            let mut sess = statement_session(arrays.clone(), stmt.clone(), backend);
+            sess.run(1).unwrap(); // plans, workspaces, worker fleet untimed
+            g.bench_function(BenchmarkId::new(tag, name), |b| {
+                b.iter(|| black_box(sess.run(1).unwrap()))
+            });
+        }
     }
     g.finish();
 }

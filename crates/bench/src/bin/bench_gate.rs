@@ -1,8 +1,8 @@
 //! CI perf-regression gate for the replay benchmarks.
 //!
 //! Measures warm-replay throughput (Melem/s) of the `b13` workload set
-//! (compressed sequential replay), the `b14` set (the same plans through
-//! both exchange backends), the `b15` set (the whole-timestep fusion
+//! (compressed sequential replay), the `b14` set (the same statements run
+//! per statement through both exchange backends), the `b15` set (the whole-timestep fusion
 //! workload: fused program plan vs per-statement replay), and the `b16`
 //! set (the self-adaptive redistribution hotspot, with deterministic
 //! machine-model-priced before/after-remap entries) — the workloads
@@ -34,14 +34,12 @@
 //! default `.`).
 
 use hpf_bench::replay::{
-    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, stencil_2d,
+    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, statement_session,
+    stencil_2d,
 };
 use hpf_core::FormatSpec;
-use hpf_runtime::{
-    ChannelsBackend, ExchangeBackend, ExecPlan, PlanWorkspace, SharedMemBackend,
-};
+use hpf_runtime::{Backend, ExecPlan, PlanWorkspace};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Throughput of one warm replay routine in Melem/s: warm up once, then
@@ -128,7 +126,9 @@ fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
     out
 }
 
-/// The b14 set: the same plans through both exchange backends, plus the
+/// The b14 set: the same one-statement programs run per statement
+/// (`Session::fused(false)`, so every warm step does the full pack →
+/// exchange → compute) on both exchange backends, plus the
 /// hardware-neutral channels/shared-mem ratio on the block stencil.
 fn measure_b14(budget: Duration, reps: usize) -> Vec<Entry> {
     let mut out = Vec::new();
@@ -144,20 +144,18 @@ fn measure_b14(budget: Duration, reps: usize) -> Vec<Entry> {
         ("stencil_2d_block", "stencil_2d_block_shared_mem", "stencil_2d_block_channels"),
         ("cyclic_transpose", "cyclic_transpose_shared_mem", "cyclic_transpose_channels"),
     ];
-    for ((tag, shared_name, channels_name), (mut arrays, stmt)) in
+    for ((tag, shared_name, channels_name), (arrays, stmt)) in
         names.into_iter().zip([(a1, s1), (a2, s2), (a3, s3)])
     {
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        let elems = replay_elements(&plan);
-        let mut shared = SharedMemBackend::new();
-        let shared_rate = measure(elems, budget, reps, || {
-            shared.step(&plan, &mut arrays, &mut ws).expect("no faults injected")
-        });
-        let mut channels = ChannelsBackend::new();
-        let channels_rate = measure(elems, budget, reps, || {
-            channels.step(&plan, &mut arrays, &mut ws).expect("no faults injected")
-        });
+        let elems = replay_elements(&ExecPlan::inspect(&arrays, &stmt).unwrap());
+        let rate = |backend| {
+            let mut sess = statement_session(arrays.clone(), stmt.clone(), backend);
+            measure(elems, budget, reps, || {
+                sess.run(1).expect("no faults injected");
+            })
+        };
+        let shared_rate = rate(Backend::SharedMem);
+        let channels_rate = rate(Backend::Channels);
         out.push(Entry::rate(shared_name, shared_rate));
         out.push(Entry::rate(channels_name, channels_rate));
         if tag == "stencil_2d_block" {

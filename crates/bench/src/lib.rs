@@ -120,7 +120,9 @@ pub fn random_weights(n: usize, max_w: u64, seed: u64) -> Vec<u64> {
 pub mod replay {
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};
-    use hpf_runtime::{Assignment, Combine, DistArray, ExecPlan, Term};
+    use hpf_runtime::{
+        Assignment, Backend, Combine, DistArray, ExecPlan, Program, Session, Term,
+    };
 
     /// Two 1-D arrays of extent `n`, both distributed with `fmt`.
     pub fn arrays_1d(n: i64, np: usize, fmt: &FormatSpec) -> Vec<DistArray<f64>> {
@@ -216,6 +218,20 @@ pub mod replay {
     /// Elements computed per replay of `plan`.
     pub fn replay_elements(plan: &ExecPlan) -> usize {
         plan.per_proc().iter().map(|pp| pp.volume).sum()
+    }
+
+    /// `stmt` as a one-statement program on `backend`, run per statement
+    /// (`fused(false)`): every timestep does the full pack → exchange →
+    /// compute. A fused session would skip the clean ghosts after the
+    /// first timestep and measure no exchange at all.
+    pub fn statement_session(
+        arrays: Vec<DistArray<f64>>,
+        stmt: Assignment,
+        backend: Backend,
+    ) -> Session {
+        let mut prog = Program::new(arrays);
+        prog.push(stmt).expect("workload statements validate");
+        Session::new(prog).backend(backend).fused(false)
     }
 
     /// The b16 adaptive-redistribution workload: a deposit sweep confined

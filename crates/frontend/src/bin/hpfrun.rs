@@ -1,14 +1,13 @@
 //! `hpfrun` — the end-to-end pipeline driver.
 //!
 //! Reads a Fortran-with-`!HPF$`-directives source file, elaborates the
-//! directives and statements, lowers them into a runtime
-//! [`Program`](hpf_runtime::Program) over
+//! directives and statements, lowers them into a runtime [`Program`] over
 //! distributed storage, and executes timesteps through the fused-plan
 //! machinery on the selected exchange backend.
 //!
 //! ```text
 //! hpfrun FILE.hpf [--np N] [--steps N] [--backend shared-mem|channels]
-//!                 [--threads N] [--set NAME=VALUE]... [--verify] [--stats]
+//!                 [--set NAME=VALUE]... [--verify] [--stats]
 //!                 [--adapt] [--checkpoint-dir D] [--checkpoint-every N]
 //!                 [--resume] [--inject SPEC]... [--step-timeout-ms N]
 //! ```
@@ -34,7 +33,7 @@
 //! ```
 
 use hpf_frontend::{render_diagnostics, Elaborator, Lowerer};
-use hpf_runtime::{AdaptPolicy, Backend, CheckpointSpec, FaultPlan, Session};
+use hpf_runtime::{AdaptPolicy, Backend, CheckpointSpec, FaultPlan, Program, Session};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -44,7 +43,6 @@ struct Args {
     np: usize,
     steps: usize,
     backend: Backend,
-    threads: usize,
     sets: Vec<(String, i64)>,
     verify: bool,
     stats: bool,
@@ -59,14 +57,13 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: hpfrun FILE [--np N] [--steps N] [--backend shared-mem|channels]\n\
-         \x20             [--threads N] [--set NAME=VALUE]... [--verify] [--stats]\n\
+         \x20             [--set NAME=VALUE]... [--verify] [--stats]\n\
          \n\
          elaborates FILE over N abstract processors (default 4), lowers the\n\
          statements into a runtime program, and executes N timesteps\n\
          (default 1) through the fused-plan path.\n\
          --backend    exchange backend (default shared-mem); `channels` runs\n\
          \x20            the message-passing SPMD worker fleet\n\
-         --threads    cap the shared-mem parallel executor's worker count\n\
          --set        provide PARAMETER/READ inputs\n\
          --verify     statically verify every compiled plan, then check the\n\
          \x20            distributed result element-for-element against the\n\
@@ -94,7 +91,6 @@ fn parse_args() -> Args {
         np: 4,
         steps: 1,
         backend: Backend::SharedMem,
-        threads: 1,
         sets: Vec::new(),
         verify: false,
         stats: false,
@@ -113,10 +109,6 @@ fn parse_args() -> Args {
             }
             "--steps" => {
                 args.steps =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                args.threads =
                     it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--backend" => match it.next().as_deref() {
@@ -201,21 +193,8 @@ fn main() -> ExitCode {
         args.np
     );
 
-    // Fault tolerance knobs: armed before anything executes.
-    if !args.inject.is_empty() {
-        match FaultPlan::parse(&args.inject.join("; ")) {
-            Ok(plan) => lowered.program.inject_faults(plan),
-            Err(e) => {
-                eprintln!("hpfrun: bad --inject spec: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(ms) = args.step_timeout_ms {
-        lowered.program.set_exchange_timeout(Duration::from_millis(ms));
-    }
-
-    // Back half: verify (static plans + dense oracle) or just run.
+    // Static half of --verify: prove every compiled plan safe before
+    // anything executes.
     if args.verify {
         match lowered.program.verify_all() {
             Ok(report) => {
@@ -233,99 +212,108 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        if let Err(msg) = lowered.run_verified(args.steps, args.backend) {
-            eprintln!("hpfrun: {msg}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "verified: {} timestep(s) on {} match the dense oracle",
-            args.steps,
-            backend_name(args.backend)
-        );
-    } else {
-        // Everything else is one Session: backend, thread bound,
-        // checkpoint cadence + recovery, and adaptive redistribution.
-        let mut session = Session::new(lowered.program).backend(args.backend);
-        if args.threads > 1 && args.backend == Backend::SharedMem {
-            session = session.threads(args.threads);
-        }
-        if args.adapt {
-            session = session.adapt(AdaptPolicy::default());
-        }
-        let mut start = 0u64;
-        if let Some(dir) = &args.checkpoint_dir {
-            if args.resume {
-                match session.program_mut().restore_latest(Path::new(dir)) {
-                    Ok(r) => {
-                        println!(
-                            "resumed from checkpoint at timestep {} ({} array(s), {})",
-                            r.timestep,
-                            r.arrays,
-                            if r.remapped > 0 {
-                                "scattered into the current distribution"
-                            } else {
-                                "fast path"
-                            }
-                        );
-                        start = r.timestep;
-                    }
-                    Err(e) => {
-                        eprintln!("hpfrun: resume failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            session = session.checkpoint(CheckpointSpec::new(dir, args.checkpoint_every));
-        }
-        let remaining = (args.steps as u64).saturating_sub(start);
-        match session.run(remaining) {
-            Ok(rep) => {
-                print!(
-                    "ran {} timestep(s) on {}",
-                    rep.timesteps,
-                    backend_name(rep.final_backend)
-                );
-                if args.checkpoint_dir.is_some() {
-                    print!(" — {} checkpoint(s) written", rep.checkpoints);
-                }
-                if rep.failures > 0 {
-                    print!(
-                        ", {} fault(s) survived, {} timestep(s) replayed",
-                        rep.failures, rep.replayed
-                    );
-                }
-                if rep.degraded {
-                    print!(", degraded to shared-mem");
-                }
-                println!();
-            }
+    }
+
+    // Everything that executes is one Session: backend, fault injection,
+    // checkpoint cadence + recovery, and adaptive redistribution.
+    let program = std::mem::replace(&mut lowered.program, Program::new(Vec::new()));
+    let mut session = Session::new(program).backend(args.backend);
+    if !args.inject.is_empty() {
+        match FaultPlan::parse(&args.inject.join("; ")) {
+            Ok(plan) => session = session.inject_faults(plan),
             Err(e) => {
-                eprintln!("hpfrun: execution failed: {e}");
+                eprintln!("hpfrun: bad --inject spec: {e}");
                 return ExitCode::FAILURE;
             }
         }
-        if args.adapt {
-            if let Some(rep) = session.adapt_report() {
-                println!(
-                    "adaptive: {} remap(s), {} element(s) moved, last imbalance {:.2}",
-                    rep.remaps, rep.remap_elements, rep.last_imbalance
-                );
-                for e in &rep.events {
+    }
+    if let Some(ms) = args.step_timeout_ms {
+        session = session.exchange_timeout(Duration::from_millis(ms));
+    }
+    if args.adapt {
+        session = session.adapt(AdaptPolicy::default());
+    }
+    let mut start = 0u64;
+    if let Some(dir) = &args.checkpoint_dir {
+        if args.resume {
+            match session.program_mut().restore_latest(Path::new(dir)) {
+                Ok(r) => {
                     println!(
-                        "  t={}: {} -> {} (imbalance {:.2}, stay {:.1}us vs move {:.1}us+{:.1}us, predicted gain {:.1}us)",
-                        e.timestep,
-                        e.arrays.join(","),
-                        e.candidate,
-                        e.observed_imbalance,
-                        e.cost_stay,
-                        e.cost_candidate,
-                        e.remap_cost,
-                        e.predicted_gain
+                        "resumed from checkpoint at timestep {} ({} array(s), {})",
+                        r.timestep,
+                        r.arrays,
+                        if r.remapped > 0 {
+                            "scattered into the current distribution"
+                        } else {
+                            "fast path"
+                        }
                     );
+                    start = r.timestep;
+                }
+                Err(e) => {
+                    eprintln!("hpfrun: resume failed: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
         }
-        lowered.program = session.into_program();
+        session = session.checkpoint(CheckpointSpec::new(dir, args.checkpoint_every));
+    }
+    let remaining = (args.steps as u64).saturating_sub(start);
+    let outcome = session.run(remaining);
+    let adapt_report = session.adapt_report().cloned();
+    lowered.program = session.into_program();
+    match outcome {
+        Ok(rep) if args.verify => {
+            // dynamic half of --verify: every array against the oracle
+            if let Err(msg) = lowered.check_oracle(args.steps) {
+                eprintln!("hpfrun: {msg}");
+                return ExitCode::FAILURE;
+            }
+            println!(
+                "verified: {} timestep(s) on {} match the dense oracle",
+                rep.timesteps,
+                backend_name(rep.final_backend)
+            );
+        }
+        Ok(rep) => {
+            print!("ran {} timestep(s) on {}", rep.timesteps, backend_name(rep.final_backend));
+            if args.checkpoint_dir.is_some() {
+                print!(" — {} checkpoint(s) written", rep.checkpoints);
+            }
+            if rep.failures > 0 {
+                print!(
+                    ", {} fault(s) survived, {} timestep(s) replayed",
+                    rep.failures, rep.replayed
+                );
+            }
+            if rep.degraded {
+                print!(", degraded to shared-mem");
+            }
+            println!();
+        }
+        Err(e) => {
+            eprintln!("hpfrun: execution failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    if let Some(rep) = adapt_report {
+        println!(
+            "adaptive: {} remap(s), {} element(s) moved, last imbalance {:.2}",
+            rep.remaps, rep.remap_elements, rep.last_imbalance
+        );
+        for e in &rep.events {
+            println!(
+                "  t={}: {} -> {} (imbalance {:.2}, stay {:.1}us vs move {:.1}us+{:.1}us, predicted gain {:.1}us)",
+                e.timestep,
+                e.arrays.join(","),
+                e.candidate,
+                e.observed_imbalance,
+                e.cost_stay,
+                e.cost_candidate,
+                e.remap_cost,
+                e.predicted_gain
+            );
+        }
     }
 
     // Result digest: one line per array so runs are comparable.

@@ -71,12 +71,19 @@ impl LoweredProgram {
     /// on a freshly lowered program (the oracle starts from the initial
     /// state).
     pub fn run_verified(&mut self, steps: usize, backend: Backend) -> Result<(), String> {
-        let oracle = self.dense_oracle(steps);
         let program = std::mem::replace(&mut self.program, Program::new(Vec::new()));
         let mut session = Session::new(program).backend(backend);
         let outcome = session.run(steps as u64);
         self.program = session.into_program();
         outcome.map_err(|e| e.to_string())?;
+        self.check_oracle(steps)
+    }
+
+    /// Compare every array of the program, element for element, against
+    /// [`LoweredProgram::dense_oracle`] after `steps` timesteps from the
+    /// initial state. Returns the first mismatch as a readable message.
+    pub fn check_oracle(&self, steps: usize) -> Result<(), String> {
+        let oracle = self.dense_oracle(steps);
         for (k, want) in oracle.iter().enumerate() {
             let got = self.program.arrays[k].to_dense();
             if &got != want {

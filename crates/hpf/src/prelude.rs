@@ -32,8 +32,6 @@ pub use hpf_index::{
 };
 pub use hpf_machine::{CommStats, CostModel, Machine, Topology};
 pub use hpf_procs::{ProcId, ProcSpace, ProcTarget, ScalarPolicy};
-#[allow(deprecated)]
-pub use hpf_runtime::run_trajectory;
 pub use hpf_runtime::{
     apply_dense, comm_analysis, dense_reference, ghost_regions, latest_checkpoint,
     remap_analysis, restore_checkpoint, save_checkpoint, verify_plan,
@@ -41,11 +39,11 @@ pub use hpf_runtime::{
     AnalysisVerdict, Assignment, Backend, ChannelsBackend,
     CheckpointSpec, CkptError, CkptReport, Combine, CommAnalysis, CopyRun, Diagnostic,
     DiagnosticKind, DistArray, ExchangeBackend, ExchangeError, ExecPlan, Fault, FaultPlan,
-    FusedPair, FusedSegment, FusedWorkspace, FusionReport, FusionStats, GatherRef,
-    GhostReport, MessagePlan, MsgSegment, PairSchedule, ParExecutor, PlanCache,
+    FusedPair, FusedSegment, FusedState, FusedWorkspace, FusionReport, FusionStats,
+    GatherRef, GhostReport, MessagePlan, MsgSegment, PairSchedule, PlanCache,
     PlanWorkspace, ProcPlan, Program, ProgramPlan, ProgramStats, Property, RecoveryPolicy,
     RemapAnalysis, RestoreReport, SeqExecutor, Session, SessionReport, SharedMemBackend,
-    StatementReport, StatementTrace, StoreRun, Superstep, Term, TermSchedule,
-    TrajectoryReport, UnitMeta, VerifyReport, VerifyStats,
+    StatementReport, StatementTrace, StoreRun, Superstep, Term, TermSchedule, UnitMeta,
+    VerifyReport, VerifyStats,
 };
 pub use hpf_template::{TemplateError, TemplateModel};

@@ -1,44 +1,41 @@
 //! Pluggable exchange backends — the transport-neutral boundary between
 //! compiled schedules and the wire.
 //!
-//! PR 2–3 compiled statements into per-processor [`CopyRun`] schedules but
-//! still *executed* them by indexing directly into every processor's
-//! buffer from one shared address space, so nothing validated that the
-//! schedules are sufficient for a real distributed-memory machine. This
-//! module closes that gap:
-//!
 //! * at inspect time, each plan's remote `CopyRun`s are **regrouped into
 //!   per-`(sender, receiver)` message schedules** — a [`MessagePlan`]
 //!   holding one [`PairSchedule`] per communicating processor pair, each a
 //!   list of [`MsgSegment`]s (what the sender packs, where the receiver
 //!   unpacks). This is exactly the vectorized-message aggregation the
 //!   machine model prices: one message per pair per statement;
-//! * [`ExchangeBackend`] abstracts *how* those messages move. A replay is
-//!   always the same BSP superstep — local pack → exchange → compute —
-//!   but the exchange leg is backend-owned;
-//! * [`SharedMemBackend`] keeps today's direct-copy semantics (stage each
-//!   pair's segments through a persistent, preallocated buffer in the
-//!   [`PlanWorkspace`], then unpack into the receiver's operand buffers),
-//!   preserving the **zero-allocation warm-replay contract**;
+//! * [`ExchangeBackend`] abstracts *how* those messages move. It has one
+//!   method that runs anything: [`ExchangeBackend::step`] executes one
+//!   timestep of a compiled [`ProgramPlan`] — per superstep, local pack →
+//!   exchange of the coalesced pairs the dirty-tracking mask selects →
+//!   compute. A single statement is a one-statement `ProgramPlan`, so the
+//!   fused and the per-statement timesteps reach the wire through the
+//!   same call;
+//! * [`SharedMemBackend`] stages each pair's effective segments through a
+//!   persistent, preallocated buffer in the [`FusedWorkspace`], then
+//!   unpacks into the receiver's operand buffers, preserving the
+//!   **zero-allocation warm-replay contract**;
 //! * [`ChannelsBackend`](crate::ChannelsBackend) (see [`crate::spmd`]) is
 //!   a true message-passing SPMD executor: one long-lived worker per
 //!   simulated processor, owning only its local shards, exchanging packed
 //!   messages over channels — no worker ever reads another's buffer.
 //!
-//! Every backend cross-checks the bytes it actually moves per pair
-//! against the frozen schedules, and [`MessagePlan::matches_analysis`]
+//! Every backend cross-checks the elements it actually moves against the
+//! dirty-tracking mask of the timestep, and [`MessagePlan::matches_analysis`]
 //! records (verified at inspect time) that for partitioning mappings the
 //! wire traffic is *exactly* the frozen [`CommAnalysis`] — the paper's
 //! statically-computed communication sets are sufficient for a real
 //! distributed-memory exchange.
-//!
-//! [`CopyRun`]: crate::CopyRun
 
 use crate::array::DistArray;
 use crate::commsets::CommAnalysis;
 use crate::fault::{Fault, FaultPlan, FaultSwitch};
-use crate::plan::{compute_proc, ExecPlan, ProcPlan};
-use crate::workspace::PlanWorkspace;
+use crate::fuse::{execute_fused_seq, BufferDomain, FusedState, ProgramPlan};
+use crate::plan::ProcPlan;
+use crate::workspace::FusedWorkspace;
 use hpf_core::HpfError;
 use hpf_procs::ProcId;
 use std::sync::Arc;
@@ -49,7 +46,7 @@ use std::sync::Arc;
 /// time, and [`ExchangeError::rank`] pins the failure to a zero-based
 /// rank when one could be identified. Crossing the crate boundary it
 /// becomes [`HpfError::Exchange`] (via `From`), which
-/// [`crate::ckpt::run_trajectory`] matches on to drive
+/// [`Session::run`](crate::Session::run) matches on to drive
 /// restore-and-replay recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExchangeError {
@@ -221,7 +218,8 @@ pub enum AnalysisVerdict {
     ReplicatedDivergence,
     /// All mappings partition yet the schedules still disagree with the
     /// analysis — a genuine schedule or analysis bug.
-    /// [`ExecPlan::inspect`] refuses to freeze such a plan.
+    /// [`ExecPlan::inspect`](crate::ExecPlan::inspect) refuses to freeze
+    /// such a plan.
     Divergent,
 }
 
@@ -356,20 +354,28 @@ impl MessagePlan {
     }
 }
 
-/// How a replay's exchange phase moves data between simulated processors.
+/// How a timestep's exchange phase moves data between simulated
+/// processors.
 ///
 /// Select one with [`Backend`] or instantiate directly. The contract:
-/// `step` executes one full BSP superstep of `plan` over `arrays`
-/// (semantically identical across backends — the backend-equivalence
-/// property suite pins `Channels` ≡ `SharedMem` ≡ the dense reference),
-/// and [`ExchangeBackend::bytes_sent`] reports the cumulative bytes the
-/// backend actually put on its wire, which every implementation must
-/// cross-check against the plan's frozen [`MessagePlan`].
+/// `step` executes one timestep of a compiled [`ProgramPlan`] over
+/// `arrays` (semantically identical across backends — the
+/// backend-equivalence property suite pins `Channels` ≡ `SharedMem` ≡ the
+/// dense reference), and [`ExchangeBackend::bytes_sent`] reports the
+/// cumulative bytes the backend actually put on its wire, which every
+/// implementation must cross-check against the timestep's dirty-tracking
+/// mask.
 pub trait ExchangeBackend {
     /// Human-readable backend name (for reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Execute one superstep: local pack → exchange → compute.
+    /// Execute one timestep of `plan`: open it on `state` (which builds
+    /// the effective-send mask for this backend's receiver-side buffers),
+    /// then per superstep local pack → exchange → compute. `ws` is the
+    /// plan's shared-address-space scratch; backends that keep their own
+    /// buffers ignore it. The caller closes the timestep
+    /// (`FusedState::finish_timestep`) on success and poisons `state` on
+    /// failure.
     ///
     /// Exchange failures (worker death, lost or damaged messages, a
     /// wedged fleet) come back as a typed [`ExchangeError`] — the arrays
@@ -379,13 +385,14 @@ pub trait ExchangeBackend {
     ///
     /// # Panics
     /// Panics if `plan` is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]) — staleness is a caller bug, not a
+    /// [`ProgramPlan::is_valid_for`]) — staleness is a caller bug, not a
     /// runtime fault.
     fn step(
         &mut self,
-        plan: &Arc<ExecPlan>,
+        plan: &Arc<ProgramPlan>,
         arrays: &mut [DistArray<f64>],
-        ws: &mut PlanWorkspace,
+        state: &mut FusedState,
+        ws: &mut FusedWorkspace,
     ) -> Result<(), ExchangeError>;
 
     /// Cumulative bytes this backend has moved between processors.
@@ -414,7 +421,8 @@ pub trait ExchangeBackend {
     }
 }
 
-/// Backend selector, threaded through the executors and [`crate::Program`].
+/// Backend selector, threaded through [`crate::Session`] and
+/// [`crate::Program`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Direct copies within one address space, staged through persistent
@@ -424,16 +432,6 @@ pub enum Backend {
     /// True message-passing SPMD: one long-lived worker per simulated
     /// processor, packed messages over channels, disjoint ownership.
     Channels,
-}
-
-impl Backend {
-    /// Instantiate the selected backend.
-    pub fn instantiate(self) -> Box<dyn ExchangeBackend + Send> {
-        match self {
-            Backend::SharedMem => Box::new(SharedMemBackend::new()),
-            Backend::Channels => Box::new(crate::spmd::ChannelsBackend::new()),
-        }
-    }
 }
 
 impl std::fmt::Display for Backend {
@@ -447,11 +445,11 @@ impl std::fmt::Display for Backend {
 
 /// The shared-address-space backend: every pair's message is packed from
 /// the sender's local buffers into a persistent, preallocated staging
-/// buffer in the [`PlanWorkspace`] (the pair's send/recv buffer), then
+/// buffer in the [`FusedWorkspace`] (the pair's send/recv buffer), then
 /// unpacked into the receiver's packed operand buffers — the same
 /// two-sided message discipline as the `Channels` backend, minus the
 /// threads. The elements physically staged are counted and asserted
-/// equal to the frozen schedule every step, so
+/// equal to the dirty-tracking mask every step, so
 /// [`ExchangeBackend::bytes_sent`] is measured, not assumed. Warm steps
 /// perform **zero heap allocations**.
 #[derive(Debug, Clone, Default)]
@@ -517,51 +515,6 @@ impl SharedMemBackend {
         }
         Ok(())
     }
-
-    /// Execute one whole fused timestep (see [`crate::ProgramPlan`]):
-    /// per superstep, pack local runs, stage the *effective* segments of
-    /// every fused pair hoisted to the phase (clean units are skipped —
-    /// their receiver-side data is still current from an earlier
-    /// timestep), and compute. Returns the elements actually staged,
-    /// which the caller cross-checks against the dirty-tracking state's
-    /// prediction. Warm calls perform zero heap allocations. Counts one
-    /// step per timestep.
-    pub(crate) fn step_fused(
-        &mut self,
-        plan: &crate::fuse::ProgramPlan,
-        arrays: &mut [DistArray<f64>],
-        state: &crate::fuse::FusedState,
-        ws: &mut crate::workspace::FusedWorkspace,
-    ) -> Result<u64, ExchangeError> {
-        self.injected_failure()?;
-        let staged = crate::fuse::execute_fused_seq(plan, arrays, state, ws);
-        self.bytes_sent += staged * std::mem::size_of::<f64>() as u64;
-        self.steps += 1;
-        // adopt the executor's per-rank compute-time sample
-        if self.rank_ns.len() != ws.rank_ns.len() {
-            self.rank_ns.resize(ws.rank_ns.len(), 0);
-        }
-        self.rank_ns.copy_from_slice(&ws.rank_ns);
-        Ok(staged)
-    }
-}
-
-/// Pack phase for one processor restricted to its *own* data: copy the
-/// local runs (`src == me`) into the packed operand buffers, leaving the
-/// remote positions for the exchange phase to fill.
-pub(crate) fn pack_local_runs(
-    arrays: &[DistArray<f64>],
-    pp: &ProcPlan,
-    bufs: &mut [Vec<f64>],
-) {
-    let me = pp.proc.zero_based() as u32;
-    for (ts, buf) in pp.terms.iter().zip(bufs) {
-        let src_arr = &arrays[ts.array];
-        for r in ts.runs.iter().filter(|r| r.src == me) {
-            let src = &src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len];
-            buf[r.dst_off..r.dst_off + r.len].copy_from_slice(src);
-        }
-    }
 }
 
 impl ExchangeBackend for SharedMemBackend {
@@ -569,61 +522,30 @@ impl ExchangeBackend for SharedMemBackend {
         "shared-mem"
     }
 
+    /// Per superstep: pack local runs, stage the *effective* segments of
+    /// every fused pair hoisted to the phase (clean units are skipped —
+    /// their receiver-side data is still current from an earlier
+    /// timestep), and compute. Warm calls perform zero heap allocations.
+    /// Counts one step per call.
     fn step(
         &mut self,
-        plan: &Arc<ExecPlan>,
+        plan: &Arc<ProgramPlan>,
         arrays: &mut [DistArray<f64>],
-        ws: &mut PlanWorkspace,
+        state: &mut FusedState,
+        ws: &mut FusedWorkspace,
     ) -> Result<(), ExchangeError> {
-        assert!(plan.is_valid_for(arrays), "stale plan: an involved array was remapped");
+        state.begin_timestep(plan, arrays, BufferDomain::Workspace);
         self.injected_failure()?;
-        ws.ensure(plan);
-        for (pp, bufs) in plan.per_proc().iter().zip(ws.bufs.iter_mut()) {
-            pack_local_runs(arrays, pp, bufs);
-        }
-        // exchange: pack each pair's message into its persistent staging
-        // buffer from the sender's locals, then unpack into the
-        // receiver's packed operand buffers. The schedules were already
-        // cross-checked against the independent region-algebraic analysis
-        // at inspect time (see `ExecPlan::inspect`); here the physically
-        // staged elements are measured and held to that schedule.
-        let msgs = plan.message_plan();
-        let mut staged = 0u64;
-        for (pair, stage) in msgs.pairs().iter().zip(ws.stage.iter_mut()) {
-            let mut off = 0usize;
-            for seg in &pair.segments {
-                let src = &arrays[seg.array].local(pair.sender as usize)
-                    [seg.src_off..seg.src_off + seg.len];
-                stage[off..off + seg.len].copy_from_slice(src);
-                off += seg.len;
-            }
-            staged += off as u64;
-            let bufs = &mut ws.bufs[pair.receiver as usize];
-            let mut off = 0usize;
-            for seg in &pair.segments {
-                bufs[seg.term][seg.dst_off..seg.dst_off + seg.len]
-                    .copy_from_slice(&stage[off..off + seg.len]);
-                off += seg.len;
-            }
-        }
+        self.rank_ns.clear();
+        self.rank_ns.resize(plan.np(), 0);
+        let staged = execute_fused_seq(plan, arrays, state, ws, &mut self.rank_ns);
         assert_eq!(
             staged,
-            msgs.wire_elements(),
-            "measured wire traffic diverged from the frozen schedule"
+            state.last_sent(),
+            "staged ghost elements diverged from the dirty-tracking mask"
         );
         self.bytes_sent += staged * std::mem::size_of::<f64>() as u64;
         self.steps += 1;
-        let combine = plan.combine();
-        if self.rank_ns.len() != plan.per_proc().len() {
-            self.rank_ns.resize(plan.per_proc().len(), 0);
-        }
-        self.rank_ns.fill(0);
-        let (_, locals) = arrays[plan.lhs()].parts_mut();
-        for (pp, bufs) in plan.per_proc().iter().zip(&ws.bufs) {
-            let t0 = std::time::Instant::now();
-            compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, combine);
-            self.rank_ns[pp.proc.zero_based()] += t0.elapsed().as_nanos() as u64;
-        }
         Ok(())
     }
 
@@ -648,7 +570,9 @@ impl ExchangeBackend for SharedMemBackend {
 mod tests {
     use super::*;
     use crate::assign::{Assignment, Combine, Term};
+    use crate::cache::PlanCache;
     use crate::exec::dense_reference;
+    use crate::plan::ExecPlan;
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};
 
@@ -667,6 +591,17 @@ mod tests {
             ));
         }
         out
+    }
+
+    /// One per-statement timestep of `stmt` on `backend`, through the
+    /// plan cache (every ghost ships, as the frozen schedule says).
+    fn step(
+        cache: &mut PlanCache,
+        arrays: &mut [DistArray<f64>],
+        stmt: &Assignment,
+        backend: &mut dyn ExchangeBackend,
+    ) -> Result<(), HpfError> {
+        cache.step(arrays, std::slice::from_ref(stmt), false, backend)
     }
 
     fn shift_stmt(n: i64, arrays: &[DistArray<f64>]) -> Assignment {
@@ -725,13 +660,13 @@ mod tests {
         let mut direct = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(2)]);
         let mut staged = direct.clone();
         let stmt = shift_stmt(48, &direct);
-        let plan = Arc::new(ExecPlan::inspect(&direct, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
+        let plan = ExecPlan::inspect(&direct, &stmt).unwrap();
+        let mut cache = PlanCache::new();
         let mut backend = SharedMemBackend::new();
         for _ in 0..3 {
             let expect = dense_reference(&direct, &stmt);
             plan.execute_seq(&mut direct);
-            backend.step(&plan, &mut staged, &mut ws).unwrap();
+            step(&mut cache, &mut staged, &stmt, &mut backend).unwrap();
             assert_eq!(direct[0].to_dense(), expect);
             assert_eq!(staged[0].to_dense(), expect);
         }
@@ -765,7 +700,7 @@ mod tests {
             &doms,
         )
         .unwrap();
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
+        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
         assert!(!plan.message_plan().matches_analysis());
         assert_eq!(
             plan.message_plan().analysis_verdict(),
@@ -773,8 +708,7 @@ mod tests {
             "replication must be reported as the expected divergence, not a bug"
         );
         let expect = dense_reference(&arrays, &stmt);
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        SharedMemBackend::new().step(&plan, &mut arrays, &mut ws).unwrap();
+        step(&mut PlanCache::new(), &mut arrays, &stmt, &mut SharedMemBackend::new()).unwrap();
         assert_eq!(arrays[0].to_dense(), expect);
     }
 
@@ -782,22 +716,20 @@ mod tests {
     fn shared_mem_simulates_injected_faults_at_step_boundary() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
+        let mut cache = PlanCache::new();
         let mut backend = SharedMemBackend::new();
         backend.inject(FaultPlan::parse("kill:rank=2,step=1").unwrap());
-        backend.step(&plan, &mut arrays, &mut ws).unwrap();
+        step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap();
         let before = arrays[0].to_dense();
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(err, ExchangeError::WorkerDied { rank: 2, step: 1 });
-        assert_eq!(err.rank(), Some(2));
-        assert_eq!(err.step(), 1);
+        let err = step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap_err();
+        assert_eq!(err, ExchangeError::WorkerDied { rank: 2, step: 1 }.into());
+        assert!(matches!(err, HpfError::Exchange { rank: Some(2), step: 1, .. }));
         // the failed timestep never happened: arrays untouched, step not
         // counted, and the one-shot fault is spent
         assert_eq!(arrays[0].to_dense(), before, "failed step must not move data");
         assert_eq!(backend.steps(), 1);
         assert_eq!(backend.faults_fired(), 1);
-        backend.step(&plan, &mut arrays, &mut ws).unwrap();
+        step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap();
         assert_eq!(backend.steps(), 2);
         assert_eq!(backend.faults_fired(), 1, "one-shot faults must not re-fire");
     }
@@ -807,7 +739,7 @@ mod tests {
         assert_eq!(Backend::default(), Backend::SharedMem);
         assert_eq!(Backend::SharedMem.to_string(), "shared-mem");
         assert_eq!(Backend::Channels.to_string(), "channels");
-        assert_eq!(Backend::SharedMem.instantiate().name(), "shared-mem");
-        assert_eq!(Backend::Channels.instantiate().name(), "channels");
+        assert_eq!(SharedMemBackend::new().name(), "shared-mem");
+        assert_eq!(crate::ChannelsBackend::new().name(), "channels");
     }
 }

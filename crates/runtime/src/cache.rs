@@ -10,56 +10,59 @@
 //! produces new mapping allocations) invalidates exactly the affected
 //! entries.
 //!
-//! Each entry also keeps a [`PlanWorkspace`] sized for its plan, so
-//! [`PlanCache::replay_seq`] performs **zero heap allocations** on a warm
-//! hit: one cache lookup, block-copy pack into the preallocated buffers,
-//! slice-kernel compute, and an `Arc`-handle return of the frozen
-//! analysis. [`PlanCache::replay_par`] reuses the same buffers but pays
-//! the scoped-thread spawn cost (and its allocations) per replay.
+//! On top of the per-statement plans the cache keeps the compiled
+//! timestep: the [`ProgramPlan`]s one [`PlanCache::step`] runs, each with
+//! its dirty-tracking [`FusedState`] and preallocated [`FusedWorkspace`].
+//! A fused timestep is one `ProgramPlan` over every statement; a
+//! per-statement timestep is one single-statement `ProgramPlan` per
+//! statement with ghost reuse off. Either way every plan reaches the wire
+//! through the same [`ExchangeBackend::step`] call, and a warm step on the
+//! `SharedMem` backend performs **zero heap allocations**.
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::backend::{ExchangeBackend, ExchangeError, SharedMemBackend};
-use crate::commsets::CommAnalysis;
-use crate::fuse::{execute_fused_par, BufferDomain, FusedState, FusionStats, ProgramPlan};
+use crate::backend::ExchangeBackend;
+use crate::fuse::{FusedState, FusionStats, ProgramPlan};
 use crate::plan::ExecPlan;
-use crate::spmd::ChannelsBackend;
-use crate::workspace::{FusedWorkspace, PlanWorkspace};
+use crate::workspace::FusedWorkspace;
 use hpf_core::HpfError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A cached plan plus its preallocated replay scratch.
+/// One compiled program plan with its replay state and scratch.
 #[derive(Debug, Clone)]
-struct Entry {
-    plan: Arc<ExecPlan>,
-    ws: PlanWorkspace,
-}
-
-/// The cached fused timestep: the statement sequence it was compiled
-/// from (the cache key — structural equality, compared without
-/// allocating), the compiled [`ProgramPlan`], its dirty-tracking replay
-/// state, and the preallocated fused scratch.
-#[derive(Debug, Clone)]
-struct FusedEntry {
-    stmts: Vec<Assignment>,
+struct Part {
     plan: Arc<ProgramPlan>,
     state: FusedState,
     ws: FusedWorkspace,
 }
 
-/// Which executor a fused timestep runs on — the fused analogue of
-/// choosing a [`Backend`](crate::Backend) / thread count for the
-/// per-statement paths.
-#[derive(Debug)]
-pub enum FusedTarget<'a> {
-    /// The shared-address-space backend (zero-allocation warm replays).
-    Shared(&'a mut SharedMemBackend),
-    /// Scoped threads, at most this many (for thread caps below the
-    /// simulated processor count).
-    Par(usize),
-    /// The message-passing SPMD worker fleet.
-    Channels(&'a mut ChannelsBackend),
+impl Part {
+    /// Compile (and statically verify) `stmts` into one program plan.
+    fn compile(
+        arrays: &[DistArray<f64>],
+        stmts: &[Assignment],
+        plans: Vec<Arc<ExecPlan>>,
+        reuse: bool,
+    ) -> Part {
+        let plan = Arc::new(ProgramPlan::compile(stmts, plans));
+        verify_fused_inserted(arrays, stmts, &plan);
+        Part {
+            ws: FusedWorkspace::for_plan(&plan),
+            state: FusedState::new(&plan, arrays, reuse),
+            plan,
+        }
+    }
+}
+
+/// The cached timestep: the statement sequence it was compiled from (the
+/// cache key — structural equality, compared without allocating), whether
+/// it is fused, and its program plans in execution order.
+#[derive(Debug, Clone)]
+struct Timestep {
+    stmts: Vec<Assignment>,
+    fused: bool,
+    parts: Vec<Part>,
 }
 
 /// Statically verify a plan at the moment it enters the cache — the five
@@ -82,7 +85,7 @@ fn verify_inserted(arrays: &[DistArray<f64>], stmt: &Assignment, plan: &ExecPlan
 #[cfg(not(any(debug_assertions, feature = "verify")))]
 fn verify_inserted(_: &[DistArray<f64>], _: &Assignment, _: &ExecPlan) {}
 
-/// Statically verify a fused plan at the moment it enters the cache —
+/// Statically verify a program plan at the moment it enters the cache —
 /// the fused properties of [`crate::verify::verify_program_plan`]
 /// (superstep hazard freedom, segment conservation across coalescing,
 /// pack-phase soundness, dirty-flag consistency), asserted hard under the
@@ -104,7 +107,7 @@ fn verify_fused_inserted(
 fn verify_fused_inserted(_: &[DistArray<f64>], _: &[Assignment], _: &ProgramPlan) {}
 
 /// A cache of compiled execution plans, keyed by statement shape and
-/// mapping identity.
+/// mapping identity, plus the compiled timestep built from them.
 ///
 /// At most one entry is kept per distinct statement (statements hash and
 /// compare structurally): when a statement's mappings change (an array was
@@ -113,10 +116,14 @@ fn verify_fused_inserted(_: &[DistArray<f64>], _: &[Assignment], _: &ProgramPlan
 /// count.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entries: HashMap<Assignment, Entry>,
-    fused: Option<FusedEntry>,
+    entries: HashMap<Assignment, Arc<ExecPlan>>,
+    timestep: Option<Timestep>,
     hits: u64,
     misses: u64,
+    /// Lifetime timesteps and ghost traffic (carried across rebuilds).
+    timesteps: u64,
+    ghost_sent: u64,
+    ghost_avoided: u64,
 }
 
 impl PlanCache {
@@ -133,220 +140,136 @@ impl PlanCache {
         arrays: &[DistArray<f64>],
         stmt: &Assignment,
     ) -> Result<Arc<ExecPlan>, HpfError> {
-        if let Some(e) = self.entries.get_mut(stmt) {
-            if e.plan.is_valid_for(arrays) {
+        if let Some(plan) = self.entries.get_mut(stmt) {
+            if plan.is_valid_for(arrays) {
                 self.hits += 1;
-                return Ok(e.plan.clone());
+                return Ok(plan.clone());
             }
             // stale: re-inspect and replace in place — no Assignment
-            // clone (the key is owned by the map) and no workspace
-            // reallocation when the new plan's buffer shape is unchanged
-            // (the common remap-rebalance pattern)
+            // clone (the key is owned by the map)
             self.misses += 1;
-            let plan = Arc::new(ExecPlan::inspect(arrays, stmt)?);
-            verify_inserted(arrays, stmt, &plan);
-            e.ws.ensure(&plan);
-            e.plan = plan.clone();
-            return Ok(plan);
+            let fresh = Arc::new(ExecPlan::inspect(arrays, stmt)?);
+            verify_inserted(arrays, stmt, &fresh);
+            *plan = fresh.clone();
+            return Ok(fresh);
         }
         self.misses += 1;
         let plan = Arc::new(ExecPlan::inspect(arrays, stmt)?);
         verify_inserted(arrays, stmt, &plan);
-        let ws = PlanWorkspace::for_plan(&plan);
-        self.entries.insert(stmt.clone(), Entry { plan: plan.clone(), ws });
+        self.entries.insert(stmt.clone(), plan.clone());
         Ok(plan)
     }
 
-    /// Execute `stmt` sequentially through the cache: resolve (or inspect)
-    /// the plan, replay it into the entry's own workspace, and return the
-    /// frozen analysis as a shared handle. On a warm hit this performs no
-    /// heap allocation at all — and exactly one cache lookup.
-    pub fn replay_seq(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        self.replay_with(arrays, stmt, |plan, arrays, ws| {
-            plan.execute_seq_with(arrays, ws);
-            Ok(())
-        })
-    }
-
-    /// [`PlanCache::replay_seq`] with parallel pack and compute phases
-    /// spread over at most `threads` OS threads (capped at the simulated
-    /// processor count). The workspace is reused, but the per-replay
-    /// thread spawns do allocate — the zero-allocation contract is the
-    /// sequential path's.
-    pub fn replay_par(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        threads: usize,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        self.replay_with(arrays, stmt, |plan, arrays, ws| {
-            plan.execute_par_with(arrays, threads, ws);
-            Ok(())
-        })
-    }
-
-    /// Execute `stmt` through the cache on an explicit
-    /// [`ExchangeBackend`]: resolve (or inspect) the plan, run one
-    /// superstep on the backend with the entry's own workspace, and
-    /// return the frozen analysis as a shared handle. With the
-    /// `SharedMem` backend a warm hit stays allocation-free (the entry's
-    /// message staging buffers are preallocated); the `Channels` backend
-    /// reuses its persistent workers across hits. An exchange failure
-    /// (worker death, lost or damaged message) surfaces as
-    /// [`HpfError::Exchange`]; the cached plan stays valid — only the
-    /// array *data* needs restoring before a replay.
-    pub fn replay_on(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        backend: &mut dyn ExchangeBackend,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        self.replay_with(arrays, stmt, |plan, arrays, ws| backend.step(plan, arrays, ws))
-    }
-
-    /// Shared replay driver: one lookup on the warm path; cold and stale
-    /// statements fall through to [`PlanCache::plan_for`] for inspection.
-    fn replay_with(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        mut exec: impl FnMut(
-            &Arc<ExecPlan>,
-            &mut [DistArray<f64>],
-            &mut PlanWorkspace,
-        ) -> Result<(), ExchangeError>,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        if let Some(e) = self.entries.get_mut(stmt) {
-            if e.plan.is_valid_for(arrays) {
-                self.hits += 1;
-                exec(&e.plan, arrays, &mut e.ws)?;
-                return Ok(e.plan.shared_analysis());
-            }
-        }
-        self.plan_for(arrays, stmt)?; // cold or stale: inspect + cache
-        let e = self.entries.get_mut(stmt).expect("plan_for caches the entry");
-        exec(&e.plan, arrays, &mut e.ws)?;
-        Ok(e.plan.shared_analysis())
-    }
-
     /// Execute one whole timestep — every statement of `stmts`, in
-    /// program order — through the cached fused [`ProgramPlan`] on the
-    /// chosen [`FusedTarget`], compiling (and statically verifying) the
-    /// fused plan first if the statement sequence changed or any involved
-    /// array was remapped.
+    /// program order — on `backend`, compiling (and statically verifying)
+    /// the timestep's program plans first if the statement sequence or
+    /// `fused` changed or any involved array was remapped.
     ///
-    /// Counter semantics match the per-statement paths exactly: a warm
-    /// fused timestep counts one hit per statement; a rebuild resolves
+    /// With `fused`, the timestep is one [`ProgramPlan`]: statements
+    /// level-scheduled into supersteps, same-pair messages coalesced, and
+    /// ghost units whose receiver-side copy is still current skipped.
+    /// Without it, every statement is its own single-statement plan and
+    /// every ghost ships every timestep — the pre-fusion baseline.
+    ///
+    /// A warm timestep counts one hit per statement; a rebuild resolves
     /// each constituent plan through [`PlanCache::plan_for`], which
-    /// charges hits for statements whose per-statement plans are still
-    /// valid and misses for cold or invalidated ones.
+    /// charges hits for statements whose plans are still valid and misses
+    /// for cold or invalidated ones. Warm timesteps on the `SharedMem`
+    /// backend perform **zero heap allocations**.
     ///
-    /// Warm timesteps on the `Shared` target perform **zero heap
-    /// allocations**: the dirty bits, effective-send mask, fused staging
-    /// buffers, and per-statement operand buffers are all reused in
-    /// place, and the elements physically staged are asserted equal to
-    /// the mask's prediction.
-    pub fn replay_fused_on(
+    /// An exchange failure (worker death, lost or damaged message)
+    /// surfaces as [`HpfError::Exchange`]; the compiled plans stay valid,
+    /// but their dirty tracking is reset, so only the array *data* needs
+    /// restoring before a replay.
+    pub fn step(
         &mut self,
         arrays: &mut [DistArray<f64>],
         stmts: &[Assignment],
-        target: FusedTarget<'_>,
-    ) -> Result<Arc<ProgramPlan>, HpfError> {
-        let warm = self
-            .fused
-            .as_ref()
-            .is_some_and(|e| e.stmts == stmts && e.plan.is_valid_for(arrays));
+        fused: bool,
+        backend: &mut dyn ExchangeBackend,
+    ) -> Result<(), HpfError> {
+        let warm = self.timestep.as_ref().is_some_and(|t| {
+            t.fused == fused
+                && t.stmts == stmts
+                && t.parts.iter().all(|p| p.plan.is_valid_for(arrays))
+        });
         if warm {
             self.hits += stmts.len() as u64;
         } else {
-            let plans = stmts
-                .iter()
-                .map(|s| self.plan_for(arrays, s))
-                .collect::<Result<Vec<_>, _>>()?;
-            let plan = Arc::new(ProgramPlan::compile(stmts, plans));
-            verify_fused_inserted(arrays, stmts, &plan);
-            let ws = FusedWorkspace::for_plan(&plan);
-            let mut state = FusedState::new(&plan, arrays);
-            if let Some(old) = &self.fused {
-                state.carry_counters(&old.state);
-            }
-            self.fused = Some(FusedEntry { stmts: stmts.to_vec(), plan, state, ws });
+            self.compile(arrays, stmts, fused)?;
         }
-        let FusedEntry { plan, state, ws, .. } =
-            self.fused.as_mut().expect("fused entry was just ensured");
-        match target {
-            FusedTarget::Shared(backend) => {
-                state.begin_timestep(plan, arrays, BufferDomain::Workspace);
-                let staged = match backend.step_fused(plan, arrays, state, ws) {
-                    Ok(staged) => staged,
-                    Err(e) => {
-                        // the timestep is torn: the mask's assumptions
-                        // about receiver-side ghost data no longer hold
-                        state.poison();
-                        return Err(e.into());
-                    }
-                };
-                assert_eq!(
-                    staged,
-                    state.last_sent(),
-                    "staged ghost elements diverged from the dirty-tracking mask"
-                );
+        let t = self.timestep.as_mut().expect("timestep was just ensured");
+        let (mut sent, mut avoided) = (0u64, 0u64);
+        for k in 0..t.parts.len() {
+            let Part { plan, state, ws } = &mut t.parts[k];
+            if let Err(e) = backend.step(plan, arrays, state, ws) {
+                // the timestep is torn: the masks' assumptions about
+                // receiver-side ghost data no longer hold, and the arrays
+                // may be partial — distrust every dirty bit until data is
+                // restored and the next step re-derives them
+                t.parts.iter_mut().for_each(|p| p.state.poison());
+                return Err(e.into());
             }
-            FusedTarget::Par(threads) => {
-                state.begin_timestep(plan, arrays, BufferDomain::Workspace);
-                let staged = execute_fused_par(plan, arrays, state, ws, threads);
-                assert_eq!(
-                    staged,
-                    state.last_sent(),
-                    "staged ghost elements diverged from the dirty-tracking mask"
-                );
-            }
-            FusedTarget::Channels(backend) => {
-                // worker fleet first: a respawn (processor-count change
-                // elsewhere) empties the workers' persistent buffers, and
-                // the generation stamp forces an all-dirty mask
-                let generation = backend.prepare(plan.np());
-                state.begin_timestep(plan, arrays, BufferDomain::Channels(generation));
-                if let Err(e) = backend.step_fused(
-                    plan,
-                    arrays,
-                    state.eff_arc(),
-                    state.eff_version(),
-                    state.last_sent(),
-                ) {
-                    // a failed fused timestep leaves the fleet torn down
-                    // (its ghost buffers are gone) and the arrays partial:
-                    // distrust every dirty assumption until data is
-                    // restored and the next begin_timestep re-derives them
-                    state.poison();
-                    return Err(e.into());
-                }
-            }
+            state.finish_timestep(plan, arrays);
+            sent += state.last_sent();
+            avoided += state.last_avoided();
         }
-        state.finish_timestep(plan, arrays);
-        Ok(plan.clone())
+        self.timesteps += 1;
+        self.ghost_sent += sent;
+        self.ghost_avoided += avoided;
+        Ok(())
     }
 
-    /// Observability snapshot of the fused path: DAG shape of the current
-    /// fused plan plus lifetime-cumulative reuse counters (carried across
-    /// rebuilds). Zeroed before the first fused timestep.
+    /// Compile the timestep's program plans from the (cached or freshly
+    /// inspected) per-statement plans.
+    fn compile(
+        &mut self,
+        arrays: &[DistArray<f64>],
+        stmts: &[Assignment],
+        fused: bool,
+    ) -> Result<(), HpfError> {
+        let plans = stmts
+            .iter()
+            .map(|s| self.plan_for(arrays, s))
+            .collect::<Result<Vec<_>, _>>()?;
+        let parts = if fused {
+            vec![Part::compile(arrays, stmts, plans, true)]
+        } else {
+            stmts
+                .iter()
+                .zip(plans)
+                .map(|(s, p)| Part::compile(arrays, std::slice::from_ref(s), vec![p], false))
+                .collect()
+        };
+        self.timestep = Some(Timestep { stmts: stmts.to_vec(), fused, parts });
+        Ok(())
+    }
+
+    /// The per-statement plans of the compiled timestep, in program order
+    /// (empty before the first [`PlanCache::step`]).
+    pub(crate) fn timestep_plans(&self) -> impl Iterator<Item = &Arc<ExecPlan>> {
+        self.timestep.iter().flat_map(|t| t.parts.iter().flat_map(|p| p.plan.plans()))
+    }
+
+    /// Observability snapshot of the timestep path: shape of the current
+    /// program plans plus lifetime-cumulative reuse counters (carried
+    /// across rebuilds). Zeroed before the first timestep.
     pub fn fusion_stats(&self) -> FusionStats {
-        match &self.fused {
-            None => FusionStats::default(),
-            Some(e) => FusionStats {
-                statements: e.stmts.len(),
-                supersteps: e.plan.supersteps().len(),
-                messages_before: e.plan.messages_before(),
-                messages_after: e.plan.messages_after(),
-                fused_timesteps: e.state.timesteps(),
-                ghost_elements_sent: e.state.sent_elements(),
-                ghost_elements_avoided: e.state.avoided_elements(),
-            },
+        let mut fs = FusionStats {
+            fused_timesteps: self.timesteps,
+            ghost_elements_sent: self.ghost_sent,
+            ghost_elements_avoided: self.ghost_avoided,
+            ..FusionStats::default()
+        };
+        if let Some(t) = &self.timestep {
+            fs.statements = t.stmts.len();
+            for p in &t.parts {
+                fs.supersteps += p.plan.supersteps().len();
+                fs.messages_before += p.plan.messages_before();
+                fs.messages_after += p.plan.messages_after();
+            }
         }
+        fs
     }
 
     /// Cached-replay count.
@@ -373,19 +296,24 @@ impl PlanCache {
     /// [`ExecPlan::schedule_bytes`]) — what the run-length compression
     /// makes observable.
     pub fn schedule_bytes(&self) -> usize {
-        self.entries.values().map(|e| e.plan.schedule_bytes()).sum()
+        self.entries.values().map(|p| p.schedule_bytes()).sum()
     }
 
-    /// Total `f64` elements preallocated across all cached workspaces.
+    /// Total `f64` elements preallocated across the compiled timestep's
+    /// packed operand buffers.
     pub fn workspace_elements(&self) -> usize {
-        self.entries.values().map(|e| e.ws.buffer_elements()).sum()
+        self.timestep
+            .iter()
+            .flat_map(|t| &t.parts)
+            .map(|p| p.ws.buffer_elements())
+            .sum()
     }
 
-    /// Drop every cached plan, including the fused program plan
-    /// (counters are kept).
+    /// Drop every cached plan, including the compiled timestep (counters
+    /// are kept).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.fused = None;
+        self.timestep = None;
     }
 }
 
@@ -393,6 +321,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::assign::{Combine, Term};
+    use crate::backend::SharedMemBackend;
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};
 
@@ -453,7 +382,7 @@ mod tests {
     #[test]
     fn distinct_statements_coexist() {
         let mut cache = PlanCache::new();
-        let arrs = arrays(32, 4, FormatSpec::Cyclic(1));
+        let mut arrs = arrays(32, 4, FormatSpec::Cyclic(1));
         let s1 = copy_stmt(32, &arrs);
         let s2 = copy_stmt(16, &arrs);
         cache.plan_for(&arrs, &s1).unwrap();
@@ -461,27 +390,32 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
         assert!(cache.schedule_bytes() > 0);
+        cache.step(&mut arrs, &[s1, s2], true, &mut SharedMemBackend::new()).unwrap();
         assert_eq!(cache.workspace_elements(), 32 + 16);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.schedule_bytes(), 0);
+        assert_eq!(cache.workspace_elements(), 0);
     }
 
     #[test]
     fn replay_through_cache_matches_reference() {
         let mut cache = PlanCache::new();
-        let mut seq = arrays(40, 4, FormatSpec::Cyclic(3));
-        let mut par = seq.clone();
-        let stmt = copy_stmt(40, &seq);
-        for _ in 0..3 {
-            let expect = crate::exec::dense_reference(&seq, &stmt);
-            let a1 = cache.replay_seq(&mut seq, &stmt).unwrap();
-            let a2 = cache.replay_par(&mut par, &stmt, 8).unwrap();
-            assert_eq!(seq[0].to_dense(), expect);
-            assert_eq!(par[0].to_dense(), expect);
-            assert!(Arc::ptr_eq(&a1, &a2), "both replays share the frozen analysis");
+        let mut shared = arrays(40, 4, FormatSpec::Cyclic(3));
+        let mut channels = shared.clone();
+        let stmt = copy_stmt(40, &shared);
+        let stmts = std::slice::from_ref(&stmt);
+        let mut shared_be = SharedMemBackend::new();
+        let mut channels_be = crate::ChannelsBackend::new();
+        for fused in [false, true, false] {
+            let expect = crate::exec::dense_reference(&shared, &stmt);
+            cache.step(&mut shared, stmts, fused, &mut shared_be).unwrap();
+            cache.step(&mut channels, stmts, fused, &mut channels_be).unwrap();
+            assert_eq!(shared[0].to_dense(), expect);
+            assert_eq!(channels[0].to_dense(), expect);
         }
-        assert_eq!(cache.misses(), 1, "one inspection for both executors");
+        assert_eq!(cache.misses(), 1, "one inspection for every path");
         assert_eq!(cache.hits(), 5);
+        assert_eq!(cache.fusion_stats().fused_timesteps, 6);
     }
 }

@@ -1,12 +1,9 @@
 use crate::assign::Assignment;
-use crate::backend::ExchangeBackend;
 use crate::commsets::CommAnalysis;
 use crate::plan::ExecPlan;
-use crate::workspace::PlanWorkspace;
 use crate::DistArray;
 use hpf_core::HpfError;
 use hpf_index::IndexDomain;
-use std::sync::Arc;
 
 /// Sequential owner-computes executor: a thin driver that inspects a fresh
 /// [`ExecPlan`] and replays it once.
@@ -15,9 +12,9 @@ use std::sync::Arc;
 /// the left-hand side is stored (Fortran 90 array-assignment semantics),
 /// so statements like `A(2:N) = A(1:N-1)` are safe.
 ///
-/// For statements executed repeatedly (solver sweeps, timesteps), use
-/// [`crate::Program`] or a [`crate::PlanCache`] so inspection is amortized
-/// instead of re-run per call.
+/// For statements executed repeatedly (solver sweeps, timesteps), drive a
+/// [`crate::Program`] through a [`crate::Session`] so inspection is
+/// amortized instead of re-run per call.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeqExecutor;
 
@@ -31,51 +28,6 @@ impl SeqExecutor {
     ) -> Result<CommAnalysis, HpfError> {
         let plan = ExecPlan::inspect(arrays, stmt)?;
         plan.execute_seq(arrays);
-        Ok(plan.analysis().clone())
-    }
-
-    /// Replay an already-inspected plan (the executor half of the
-    /// inspector–executor split). Allocates a throwaway workspace; hot
-    /// loops should use [`SeqExecutor::execute_plan_with`].
-    ///
-    /// # Panics
-    /// Panics if `plan` is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_plan(&self, arrays: &mut [DistArray<f64>], plan: &ExecPlan) {
-        plan.execute_seq(arrays);
-    }
-
-    /// Replay an already-inspected plan into a reusable
-    /// [`PlanWorkspace`] — zero heap allocations once the workspace is
-    /// warm.
-    ///
-    /// # Panics
-    /// Panics if `plan` is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_plan_with(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        plan: &ExecPlan,
-        ws: &mut PlanWorkspace,
-    ) {
-        plan.execute_seq_with(arrays, ws);
-    }
-
-    /// Execute `stmt` through an explicit [`ExchangeBackend`]: inspect a
-    /// fresh plan and run one superstep on the backend (which cross-checks
-    /// its measured wire traffic against the plan's frozen schedules).
-    /// For repeated statements, resolve plans through a
-    /// [`crate::PlanCache`] and use [`crate::PlanCache::replay_on`]
-    /// instead.
-    pub fn execute_on(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        backend: &mut dyn ExchangeBackend,
-    ) -> Result<CommAnalysis, HpfError> {
-        let plan = Arc::new(ExecPlan::inspect(arrays, stmt)?);
-        let mut ws = PlanWorkspace::new();
-        backend.step(&plan, arrays, &mut ws)?;
         Ok(plan.analysis().clone())
     }
 }
@@ -246,7 +198,7 @@ mod tests {
         .unwrap();
         let plan = crate::ExecPlan::inspect(&arrays, &stmt).unwrap();
         let expect = dense_reference(&arrays, &stmt);
-        SeqExecutor.execute_plan(&mut arrays, &plan);
+        plan.execute_seq(&mut arrays);
         assert_eq!(arrays[0].to_dense(), expect);
     }
 }

@@ -43,9 +43,8 @@
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::backend::pack_local_runs;
-use crate::plan::{compute_proc, ExecPlan};
-use crate::workspace::FusedWorkspace;
+use crate::plan::{compute_proc, ExecPlan, ProcPlan};
+use crate::workspace::{FusedWorkspace, PlanWorkspace};
 use std::sync::Arc;
 
 /// One contiguous piece of a coalesced message, tied back to the
@@ -377,28 +376,34 @@ impl ProgramPlan {
     }
 }
 
-/// Which executor family currently owns the receiver-side packed operand
-/// buffers that clean-unit skipping relies on. The workspace executors
-/// (shared-mem and the scoped-thread parallel path) share one
-/// [`FusedWorkspace`]; the `Channels` workers keep their own buffers, and
-/// a respawned fleet starts empty — the generation stamp detects that.
+/// Which backend currently owns the receiver-side packed operand buffers
+/// that clean-unit skipping relies on. The shared-mem backend keeps them
+/// in the [`FusedWorkspace`]; the `Channels` workers keep their own
+/// buffers, and a respawned fleet starts empty — the generation stamp
+/// detects that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BufferDomain {
     /// No fused timestep has run yet.
     None,
-    /// The `FusedWorkspace` buffers (shared-mem / scoped-thread paths).
+    /// The `FusedWorkspace` buffers (the shared-mem backend).
     Workspace,
     /// The `Channels` worker fleet with the given spawn generation.
     Channels(u64),
 }
 
 /// Mutable per-`ProgramPlan` replay state: the cross-timestep dirty bits,
-/// the per-timestep effective-send mask, per-shard write-epoch snapshots
-/// for out-of-band-write detection, and the reuse counters behind
-/// [`FusionStats`](crate::FusionStats). Warm timesteps mutate it without
-/// allocating.
+/// the per-timestep effective-send mask, and per-shard write-epoch
+/// snapshots for out-of-band-write detection. Warm timesteps mutate it
+/// without allocating. An [`ExchangeBackend`](crate::ExchangeBackend)
+/// opens each timestep on it; the plan cache closes it.
+///
+/// Without ghost reuse (the per-statement timesteps of
+/// [`Session::fused`](crate::Session::fused)`(false)`) the dirty bits are
+/// never cleared, so every unit ships every timestep.
 #[derive(Debug, Clone)]
 pub struct FusedState {
+    /// False for per-statement timesteps: every unit stays dirty.
+    reuse: bool,
     dirty: Vec<bool>,
     /// Effective-send mask of the current timestep; `Arc` so the
     /// `Channels` driver can ship it to the workers without copying.
@@ -430,17 +435,16 @@ pub struct FusedState {
     domain: BufferDomain,
     last_sent: u64,
     last_avoided: u64,
-    sent_elements: u64,
-    avoided_elements: u64,
-    timesteps: u64,
 }
 
 impl FusedState {
     /// Fresh state for `plan`: everything dirty, so the first timestep
     /// ships the full schedule and populates the receiver-side buffers.
-    pub(crate) fn new(plan: &ProgramPlan, arrays: &[DistArray<f64>]) -> FusedState {
+    /// With `reuse` off, everything stays dirty.
+    pub(crate) fn new(plan: &ProgramPlan, arrays: &[DistArray<f64>], reuse: bool) -> FusedState {
         let nseg = plan.pairs.iter().map(|p| p.segments.len()).sum();
         FusedState {
+            reuse,
             dirty: vec![true; plan.units.len()],
             eff: Arc::new(vec![false; plan.units.len()]),
             pair_eff: vec![0; plan.pairs.len()],
@@ -453,16 +457,14 @@ impl FusedState {
             domain: BufferDomain::None,
             last_sent: 0,
             last_avoided: 0,
-            sent_elements: 0,
-            avoided_elements: 0,
-            timesteps: 0,
         }
     }
 
     /// Open a timestep: dirty everything if the buffer domain changed
     /// (different executor family or respawned worker fleet), fold in
     /// out-of-band shard writes detected via the write epochs, and build
-    /// the effective-send mask (`dirty ∨ intra_dirty`).
+    /// the effective-send mask (`dirty ∨ intra_dirty`). Without ghost
+    /// reuse every unit is dirty anyway, so the probe is skipped.
     ///
     /// The expensive passes here are all O(units), and a cyclic gather
     /// degrades to per-element units — so the steady warm state must not
@@ -483,9 +485,10 @@ impl FusedState {
             self.domain = domain;
             self.dirty_is_post = false;
         }
-        let quiet = self.snaps.iter().zip(arrays).all(|(snap, arr)| {
-            snap.iter().enumerate().all(|(q, &s)| arr.shard_version(q) == s)
-        });
+        let quiet = !self.reuse
+            || self.snaps.iter().zip(arrays).all(|(snap, arr)| {
+                snap.iter().enumerate().all(|(q, &s)| arr.shard_version(q) == s)
+            });
         if !quiet {
             for (d, meta) in self.dirty.iter_mut().zip(&plan.units) {
                 if arrays[meta.array].shard_version(meta.shard)
@@ -556,12 +559,21 @@ impl FusedState {
         self.last_sent
     }
 
+    /// Elements the current timestep's mask skips as clean.
+    pub(crate) fn last_avoided(&self) -> u64 {
+        self.last_avoided
+    }
+
     /// Close a timestep: a unit re-enters dirty iff some statement at or
     /// after its pack point overwrote its source this timestep (the
     /// static `post_dirty` — sound because units the mask skipped had no
     /// writers at all, and units it shipped were staged past every
-    /// earlier writer). Then resync the write-epoch snapshots.
+    /// earlier writer). Then resync the write-epoch snapshots. Without
+    /// ghost reuse nothing changes: every unit stays dirty.
     pub(crate) fn finish_timestep(&mut self, plan: &ProgramPlan, arrays: &[DistArray<f64>]) {
+        if !self.reuse {
+            return;
+        }
         if !self.dirty_is_post {
             let mut changed = false;
             for (d, meta) in self.dirty.iter_mut().zip(&plan.units) {
@@ -580,24 +592,6 @@ impl FusedState {
                 *s = arr.shard_version(q);
             }
         }
-        self.sent_elements += self.last_sent;
-        self.avoided_elements += self.last_avoided;
-        self.timesteps += 1;
-    }
-
-    /// Cumulative ghost elements shipped across fused timesteps.
-    pub(crate) fn sent_elements(&self) -> u64 {
-        self.sent_elements
-    }
-
-    /// Cumulative ghost elements skipped as clean across fused timesteps.
-    pub(crate) fn avoided_elements(&self) -> u64 {
-        self.avoided_elements
-    }
-
-    /// Fused timesteps executed through this state.
-    pub(crate) fn timesteps(&self) -> u64 {
-        self.timesteps
     }
 
     /// Distrust everything after a failed timestep: an exchange fault
@@ -613,30 +607,23 @@ impl FusedState {
         self.eff_current = false;
         self.domain = BufferDomain::None;
     }
-
-    /// Carry the cumulative observability counters over from the state
-    /// of an invalidated plan, so `fusion_stats` stays lifetime-cumulative
-    /// across remaps and statement-list changes.
-    pub(crate) fn carry_counters(&mut self, old: &FusedState) {
-        self.sent_elements = old.sent_elements;
-        self.avoided_elements = old.avoided_elements;
-        self.timesteps = old.timesteps;
-    }
 }
 
-/// Observability snapshot of the fused program path — what
+/// Observability snapshot of the program-plan path — what
 /// [`Program::fusion_stats`](crate::Program::fusion_stats) returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
-    /// Statements in the fused plan.
+    /// Statements in the cached timestep.
     pub statements: usize,
-    /// Superstep levels the DAG flattened to.
+    /// Superstep levels the timestep runs (one per statement when it is
+    /// not fused).
     pub supersteps: usize,
     /// Constituent per-statement messages before coalescing.
     pub messages_before: usize,
-    /// Coalesced messages after fusion.
+    /// Messages after coalescing (equal to `messages_before` when the
+    /// timestep is not fused).
     pub messages_after: usize,
-    /// Timesteps replayed through the fused plan.
+    /// Timesteps replayed through compiled program plans.
     pub fused_timesteps: u64,
     /// Ghost elements actually shipped across those timesteps.
     pub ghost_elements_sent: u64,
@@ -674,9 +661,23 @@ impl std::fmt::Display for FusionStats {
     }
 }
 
+/// Pack phase for one processor restricted to its *own* data: copy the
+/// local runs (`src == me`) into the packed operand buffers, leaving the
+/// remote positions for the exchange phase to fill.
+fn pack_local_runs(arrays: &[DistArray<f64>], pp: &ProcPlan, bufs: &mut [Vec<f64>]) {
+    let me = pp.proc.zero_based() as u32;
+    for (ts, buf) in pp.terms.iter().zip(bufs) {
+        let src_arr = &arrays[ts.array];
+        for r in ts.runs.iter().filter(|r| r.src == me) {
+            let src = &src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len];
+            buf[r.dst_off..r.dst_off + r.len].copy_from_slice(src);
+        }
+    }
+}
+
 /// Stage the effective segments of every fused pair hoisted to `phase`
 /// into its staging buffer and deliver them into the per-statement packed
-/// operand buffers — the workspace executors' exchange leg. Returns the
+/// operand buffers — the shared-mem backend's exchange leg. Returns the
 /// elements staged.
 fn stage_phase(
     plan: &ProgramPlan,
@@ -690,43 +691,64 @@ fn stage_phase(
         if pair.pack_phase != phase || state.pair_eff[k] == 0 {
             continue;
         }
-        let segs = state.eff_segments(k);
-        let stage = &mut ws.stage[k];
-        let mut off = 0usize;
-        for &i in segs {
-            let seg = &pair.segments[i as usize];
-            let src =
-                &arrays[seg.array].local(pair.sender as usize)[seg.src_off..seg.src_off + seg.len];
-            stage[off..off + seg.len].copy_from_slice(src);
-            off += seg.len;
-        }
-        staged_total += off as u64;
-        let mut off = 0usize;
-        for &i in segs {
-            let seg = &pair.segments[i as usize];
-            ws.per_stmt[seg.stmt].bufs[pair.receiver as usize][seg.term]
-                [seg.dst_off..seg.dst_off + seg.len]
-                .copy_from_slice(&stage[off..off + seg.len]);
-            off += seg.len;
-        }
+        // a pair that ships whole (always, without ghost reuse) walks its
+        // segments directly instead of through the effective-index list
+        staged_total += if state.pair_eff[k] == pair.elements as u64 {
+            stage_pair(pair, pair.segments.iter(), arrays, &mut ws.stage[k], &mut ws.per_stmt)
+        } else {
+            let segs = state.eff_segments(k).iter().map(|&i| &pair.segments[i as usize]);
+            stage_pair(pair, segs, arrays, &mut ws.stage[k], &mut ws.per_stmt)
+        };
     }
     staged_total
 }
 
-/// Sequential fused timestep over one address space: per phase, pack the
+/// Stage `segs` of `pair` from the sender's shards through `stage` into
+/// the receiver's per-statement operand buffers, segment by segment (one
+/// pass over the segment list: a cyclic gather degrades to one segment
+/// per element, so the list is as large as the data). Returns the
+/// elements staged.
+fn stage_pair<'a>(
+    pair: &FusedPair,
+    segs: impl Iterator<Item = &'a FusedSegment>,
+    arrays: &[DistArray<f64>],
+    stage: &mut [f64],
+    per_stmt: &mut [PlanWorkspace],
+) -> u64 {
+    let mut off = 0usize;
+    // the receiver's operand buffers of the current statement, looked up
+    // once per run of same-statement segments, not once per segment
+    let (mut stmt, mut bufs): (usize, &mut [Vec<f64>]) = (usize::MAX, &mut []);
+    for seg in segs {
+        if seg.stmt != stmt {
+            stmt = seg.stmt;
+            bufs = &mut per_stmt[stmt].bufs[pair.receiver as usize];
+        }
+        let staged = &mut stage[off..off + seg.len];
+        staged.copy_from_slice(
+            &arrays[seg.array].local(pair.sender as usize)[seg.src_off..seg.src_off + seg.len],
+        );
+        bufs[seg.term][seg.dst_off..seg.dst_off + seg.len].copy_from_slice(staged);
+        off += seg.len;
+    }
+    off as u64
+}
+
+/// The shared-mem backend's timestep over one address space: per phase, pack the
 /// superstep's local runs, stage the effective segments of every pair
-/// hoisted to the phase, then compute the superstep's statements. Returns
-/// the elements staged (the timestep's wire traffic). Warm calls perform
-/// zero heap allocations.
+/// hoisted to the phase, then compute the superstep's statements, adding
+/// each processor's measured kernel time to `rank_ns` (indexed by
+/// zero-based processor). Returns the elements staged (the timestep's
+/// wire traffic). Warm calls perform zero heap allocations.
 pub(crate) fn execute_fused_seq(
     plan: &ProgramPlan,
     arrays: &mut [DistArray<f64>],
     state: &FusedState,
     ws: &mut FusedWorkspace,
+    rank_ns: &mut [u64],
 ) -> u64 {
     assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
     ws.ensure(plan);
-    ws.rank_ns.fill(0);
     let mut staged_total = 0u64;
     for phase in 0..plan.supersteps.len() {
         for &s in &plan.supersteps[phase].stmts {
@@ -746,73 +768,8 @@ pub(crate) fn execute_fused_seq(
                 // adaptive controller's observed load vector
                 let t0 = std::time::Instant::now();
                 compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, combine);
-                ws.rank_ns[pp.proc.zero_based()] += t0.elapsed().as_nanos() as u64;
+                rank_ns[pp.proc.zero_based()] += t0.elapsed().as_nanos() as u64;
             }
-        }
-    }
-    staged_total
-}
-
-/// Scoped-thread fused timestep honoring a thread cap below the simulated
-/// processor count: each statement's pack and compute phases spread over
-/// `threads` scoped threads (chunked by processor, like
-/// [`ExecPlan::execute_par_with`]); staging stays serial — it is exactly
-/// the leg clean-unit skipping shrinks. Returns the elements staged.
-pub(crate) fn execute_fused_par(
-    plan: &ProgramPlan,
-    arrays: &mut [DistArray<f64>],
-    state: &FusedState,
-    ws: &mut FusedWorkspace,
-    threads: usize,
-) -> u64 {
-    assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
-    ws.ensure(plan);
-    let np = plan.np();
-    let threads = threads.clamp(1, np.max(1));
-    if threads == 1 {
-        return execute_fused_seq(plan, arrays, state, ws);
-    }
-    let chunk = np.div_ceil(threads);
-    let mut staged_total = 0u64;
-    for phase in 0..plan.supersteps.len() {
-        for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            let per_proc = sp.per_proc();
-            let arrays_ref: &[DistArray<f64>] = arrays;
-            crossbeam::thread::scope(|scope| {
-                for (pps, bufss) in
-                    per_proc.chunks(chunk).zip(ws.per_stmt[s].bufs.chunks_mut(chunk))
-                {
-                    scope.spawn(move |_| {
-                        for (pp, bufs) in pps.iter().zip(bufss) {
-                            pack_local_runs(arrays_ref, pp, bufs);
-                        }
-                    });
-                }
-            })
-            .expect("worker thread panicked");
-        }
-        staged_total += stage_phase(plan, arrays, state, ws, phase);
-        for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            let combine = sp.combine();
-            let per_proc = sp.per_proc();
-            let bufs_all = &ws.per_stmt[s].bufs;
-            let (_, locals) = arrays[sp.lhs()].parts_mut();
-            crossbeam::thread::scope(|scope| {
-                for ((pps, bufss), locs) in per_proc
-                    .chunks(chunk)
-                    .zip(bufs_all.chunks(chunk))
-                    .zip(locals.chunks_mut(chunk))
-                {
-                    scope.spawn(move |_| {
-                        for ((pp, bufs), local) in pps.iter().zip(bufss).zip(locs) {
-                            compute_proc(pp, local, bufs, combine);
-                        }
-                    });
-                }
-            })
-            .expect("worker thread panicked");
         }
     }
     staged_total
@@ -959,6 +916,39 @@ mod tests {
         assert!(!clean.is_empty(), "U(0)/U(n+1) ghost units must be clean");
         let total_clean: usize = clean.iter().map(|u| u.len).sum();
         assert_eq!(total_clean, 2, "one element each for U(0) and U(n+1)");
+    }
+
+    #[test]
+    fn without_reuse_every_unit_ships_every_timestep() {
+        // A2 is never written, so with ghost reuse every unit is clean
+        // after the cold timestep; without it nothing is ever skipped
+        let n = 32i64;
+        let arrays =
+            arrays_1d(32, 4, &[FormatSpec::Block, FormatSpec::Block, FormatSpec::Cyclic(1)]);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let mk = |lhs: usize| {
+            Assignment::new(
+                lhs,
+                Section::from_triplets(vec![span(1, n)]),
+                vec![Term::new(2, Section::from_triplets(vec![span(1, n)]))],
+                Combine::Copy,
+                &doms,
+            )
+            .unwrap()
+        };
+        let plan = compile(&arrays, &[mk(0), mk(1)]);
+        let total: u64 = plan.units().iter().map(|u| u.len as u64).sum();
+        assert!(total > 0);
+        for reuse in [true, false] {
+            let mut state = FusedState::new(&plan, &arrays, reuse);
+            for t in 0..3 {
+                state.begin_timestep(&plan, &arrays, BufferDomain::Workspace);
+                let want = if reuse && t > 0 { 0 } else { total };
+                assert_eq!(state.last_sent(), want, "reuse {reuse}, timestep {t}");
+                assert_eq!(state.last_sent() + state.last_avoided(), total);
+                state.finish_timestep(&plan, &arrays);
+            }
+        }
     }
 
     #[test]

@@ -19,21 +19,20 @@
 //!   compressed* store/gather schedules ([`StoreRun`]/[`CopyRun`] block
 //!   transfers instead of per-element entries), then replayed every
 //!   timestep from a cache keyed by statement shape and mapping identity;
-//!   each cached plan carries a preallocated [`PlanWorkspace`], making
-//!   warm replays zero-allocation;
-//! * [`ExchangeBackend`] — the transport-neutral boundary between
+//!   the cache keeps preallocated workspaces, making warm timesteps
+//!   zero-allocation;
+//! * [`ExchangeBackend`] — the one transport-neutral boundary between
 //!   compiled schedules and the wire: each plan's remote runs are
 //!   regrouped at inspect time into per-(sender, receiver)
-//!   [`MessagePlan`] schedules, and a backend decides how those messages
-//!   move — [`SharedMemBackend`] (direct copies staged through persistent
-//!   buffers, zero-allocation warm) or [`ChannelsBackend`] (a true
-//!   message-passing SPMD executor: one long-lived worker per simulated
-//!   processor owning only its local shards, packed messages over
-//!   channels, measured wire bytes cross-checked against the frozen
-//!   analysis);
-//! * [`SeqExecutor`] / [`ParExecutor`] — sequential and
-//!   crossbeam-parallel owner-computes execution, thin drivers over the
-//!   same compiled plans, verified element-for-element against a dense
+//!   [`MessagePlan`] schedules, and a backend's single `step` runs a
+//!   timestep of a [`ProgramPlan`] — [`SharedMemBackend`] (direct copies
+//!   staged through persistent buffers, zero-allocation warm) or
+//!   [`ChannelsBackend`] (a true message-passing SPMD executor: one
+//!   long-lived worker per simulated processor owning only its local
+//!   shards, packed messages over channels, measured wire bytes
+//!   cross-checked against the dirty-tracking mask);
+//! * [`SeqExecutor`] — one-shot sequential owner-computes execution of a
+//!   single statement, verified element-for-element against a dense
 //!   reference;
 //! * [`remap_analysis`] — the exact traffic of a `REDISTRIBUTE`/`REALIGN`
 //!   event (§4.2/§5.2) and of §7 copy-in/copy-out;
@@ -48,7 +47,7 @@
 //!   source shard no statement wrote is never re-packed or re-sent on
 //!   warm timesteps;
 //! * [`Program`] — multi-statement execution with cumulative statistics,
-//!   routing whole timesteps through the fused plan (with
+//!   routing whole timesteps through program plans (with
 //!   [`FusionStats`] counting supersteps, coalesced messages, and ghost
 //!   bytes avoided);
 //! * [`verify_plan`] — static schedule verification: prove (or refute
@@ -61,13 +60,12 @@
 //!   deterministic fault injection (worker kills, dropped/corrupted/
 //!   delayed messages, pool poisoning) exercises the failure paths,
 //!   and distribution-aware checkpoints restore across *different*
-//!   mappings and processor counts ([`run_trajectory`] ties it into a
+//!   mappings and processor counts ([`Session`] ties it into a
 //!   restore-and-replay recovery loop with bounded retries and
 //!   graceful degradation to `SharedMem`);
-//! * [`Session`] — the unified execution-session API: one builder for
-//!   backend, thread bound, fusion, checkpoint cadence, fault recovery,
-//!   and adaptive redistribution, replacing the legacy `run`/`run_on`/
-//!   `run_parallel`/`run_unfused`/`run_trajectory` entry points;
+//! * [`Session`] — the execution-session API: one builder for backend,
+//!   fusion, checkpoint cadence, fault recovery, and adaptive
+//!   redistribution;
 //! * [`adapt`] — self-adaptive redistribution: a controller that watches
 //!   the measured per-rank load of warm replay ([`Program::stats`]
 //!   exposes the per-processor breakdown), prices candidate remappings
@@ -89,7 +87,6 @@ mod exec;
 mod fault;
 mod fuse;
 mod ghost;
-mod par;
 mod plan;
 mod program;
 mod remap;
@@ -106,19 +103,18 @@ pub use backend::{
     PairSchedule, SharedMemBackend,
 };
 pub use adapt::{AdaptController, AdaptEvent, AdaptPolicy, AdaptReport};
-pub use cache::{FusedTarget, PlanCache};
-#[allow(deprecated)]
-pub use ckpt::run_trajectory;
+pub use cache::PlanCache;
 pub use ckpt::{
     latest_checkpoint, restore_checkpoint, save_checkpoint, CheckpointSpec, CkptError,
-    CkptReport, RecoveryPolicy, RestoreReport, TrajectoryReport,
+    CkptReport, RecoveryPolicy, RestoreReport,
 };
 pub use fault::{Fault, FaultPlan};
 pub use commsets::{comm_analysis, CommAnalysis};
 pub use exec::{apply_dense, dense_reference, SeqExecutor};
-pub use fuse::{FusedPair, FusedSegment, FusionStats, ProgramPlan, Superstep, UnitMeta};
+pub use fuse::{
+    FusedPair, FusedSegment, FusedState, FusionStats, ProgramPlan, Superstep, UnitMeta,
+};
 pub use ghost::{ghost_regions, GhostReport};
-pub use par::ParExecutor;
 pub use plan::{CopyRun, ExecPlan, GatherRef, ProcPlan, StoreRun, TermSchedule};
 pub use program::{Program, ProgramStats};
 pub use remap::{remap_analysis, RemapAnalysis};

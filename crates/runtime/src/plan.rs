@@ -139,9 +139,10 @@ impl ProcPlan {
 
 /// A compiled execution plan for one assignment under fixed mappings.
 ///
-/// Built by [`ExecPlan::inspect`]; replayed by [`ExecPlan::execute_seq`] /
-/// [`ExecPlan::execute_par`] (or their `_with` variants, which reuse a
-/// caller-owned [`PlanWorkspace`] so warm replays allocate nothing). A
+/// Built by [`ExecPlan::inspect`]; replayed directly by
+/// [`ExecPlan::execute_seq`] (or [`ExecPlan::execute_seq_with`], which
+/// reuses a caller-owned [`PlanWorkspace`] so warm replays allocate
+/// nothing), and every timestep through a [`crate::ProgramPlan`]. A
 /// plan is bound to the exact `Arc<EffectiveDist>` allocations it was
 /// inspected from (see [`MappingId`]); [`ExecPlan::is_valid_for`] checks
 /// that binding, and the executors assert it, so a remapped array can
@@ -400,9 +401,9 @@ impl ExecPlan {
     /// LHS appears on the RHS), then compute into the LHS local buffers.
     ///
     /// Allocates a throwaway [`PlanWorkspace`]; hot loops should hold one
-    /// and call [`ExecPlan::execute_seq_with`] (or replay through a
-    /// [`crate::PlanCache`], which keeps a workspace per plan) so warm
-    /// replays allocate nothing.
+    /// and call [`ExecPlan::execute_seq_with`] (or run timesteps through a
+    /// [`crate::PlanCache`], which keeps the workspaces) so warm replays
+    /// allocate nothing.
     ///
     /// # Panics
     /// Panics if the plan is stale for `arrays` (see
@@ -431,87 +432,6 @@ impl ExecPlan {
         for (pp, bufs) in self.per_proc.iter().zip(&ws.bufs) {
             compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, self.combine);
         }
-    }
-
-    /// Replay the plan with both the pack and compute phases spread over
-    /// OS threads — bit-identical to [`ExecPlan::execute_seq`]. Allocates
-    /// a throwaway [`PlanWorkspace`]; see [`ExecPlan::execute_par_with`].
-    ///
-    /// # Panics
-    /// Panics if the plan is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_par(&self, arrays: &mut [DistArray<f64>], threads: usize) {
-        let mut ws = PlanWorkspace::for_plan(self);
-        self.execute_par_with(arrays, threads, &mut ws);
-    }
-
-    /// Replay the plan with both phases parallel, into a reusable
-    /// workspace. `threads` is capped at the simulated processor count —
-    /// one simulated processor's buffers are the unit of work, so extra OS
-    /// threads would only pay spawn cost. The pack phase runs as its own
-    /// parallel wave (all packs read the arrays immutably and write
-    /// disjoint workspace buffers), then a barrier, then the compute wave
-    /// (disjoint LHS local buffers) — a BSP superstep, bit-identical to
-    /// the sequential replay.
-    ///
-    /// # Panics
-    /// Panics if the plan is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_par_with(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        threads: usize,
-        ws: &mut PlanWorkspace,
-    ) {
-        assert!(self.is_valid_for(arrays), "stale plan: an involved array was remapped");
-        debug_assert!(
-            crate::verify::workers_disjoint(&self.per_proc),
-            "two workers drive the same processor: store sets would race"
-        );
-        ws.ensure(self);
-        let np = self.per_proc.len();
-        let threads = threads.clamp(1, np.max(1));
-        if threads == 1 {
-            // no spawn cost for the degenerate case
-            return self.execute_seq_with(arrays, ws);
-        }
-        // plain chunked partition: ceil(np / threads) processors per thread.
-        // Pack and compute are two separate spawn waves rather than one
-        // wave with a barrier: pack holds a shared borrow of *all* arrays
-        // (the statement may read the LHS), so safe Rust cannot also hand
-        // the compute half a mutable borrow of the LHS locals within the
-        // same scope.
-        let chunk = np.div_ceil(threads);
-        let arrays_ref: &[DistArray<f64>] = arrays;
-        crossbeam::thread::scope(|scope| {
-            for (pps, bufss) in self.per_proc.chunks(chunk).zip(ws.bufs.chunks_mut(chunk))
-            {
-                scope.spawn(move |_| {
-                    for (pp, bufs) in pps.iter().zip(bufss) {
-                        pack_proc(arrays_ref, pp, bufs);
-                    }
-                });
-            }
-        })
-        .expect("worker thread panicked");
-        let combine = self.combine;
-        // per_proc is ordered 1..=np, matching the local-buffer order
-        let (_, locals) = arrays[self.lhs].parts_mut();
-        crossbeam::thread::scope(|scope| {
-            for ((pps, bufss), locs) in self
-                .per_proc
-                .chunks(chunk)
-                .zip(ws.bufs.chunks(chunk))
-                .zip(locals.chunks_mut(chunk))
-            {
-                scope.spawn(move |_| {
-                    for ((pp, bufs), local) in pps.iter().zip(bufss).zip(locs) {
-                        compute_proc(pp, local, bufs, combine);
-                    }
-                });
-            }
-        })
-        .expect("worker thread panicked");
     }
 
     /// Replay through the *uncompressed* per-element schedule (expanding

@@ -5,23 +5,22 @@
 //!
 //! Programs execute through a [`PlanCache`], driven by a
 //! [`Session`](crate::Session): each statement is inspected into an
-//! [`crate::ExecPlan`] the first time it runs and replayed from the cache
-//! on every later timestep, so iterated solvers pay inspection (ownership
-//! lookups, comm analysis) once, and O(elements moved + computed) per
-//! iteration. Warm sequential timesteps are **allocation-free**: the
-//! cache replays each plan into its own preallocated
-//! [`crate::PlanWorkspace`], the per-statement analyses come back as
-//! `Arc` handles into the frozen plans, and the result buffer is reused
-//! across calls (asserted by the `zero_alloc_replay` integration test).
-//! The bounded-thread executor reuses the same workspaces but pays
-//! scoped-thread spawn cost (and its allocations) per timestep. Remapping
-//! an array (see [`Program::remap`]) changes its mapping identity and
-//! invalidates exactly the plans that involve it — the primitive the
-//! adaptive controller (see [`crate::adapt`]) drives live.
+//! [`crate::ExecPlan`] the first time it runs, the timestep is compiled
+//! into [`crate::ProgramPlan`]s, and every later timestep replays them on
+//! the selected exchange backend, so iterated solvers pay inspection
+//! (ownership lookups, comm analysis) once, and O(elements moved +
+//! computed) per iteration. Warm `SharedMem` timesteps are
+//! **allocation-free**: the cache replays into preallocated workspaces,
+//! the per-statement analyses come back as `Arc` handles into the frozen
+//! plans, and the result buffer is reused across calls (asserted by the
+//! `zero_alloc_replay` integration test). Remapping an array (see
+//! [`Program::remap`]) changes its mapping identity and invalidates
+//! exactly the plans that involve it — the primitive the adaptive
+//! controller (see [`crate::adapt`]) drives live.
 
 use crate::assign::Assignment;
 use crate::backend::{Backend, ExchangeBackend, SharedMemBackend};
-use crate::cache::{FusedTarget, PlanCache};
+use crate::cache::PlanCache;
 use crate::ckpt::{self, CkptError, CkptReport, RestoreReport};
 use crate::commsets::CommAnalysis;
 use crate::fault::FaultPlan;
@@ -43,8 +42,8 @@ use std::time::Duration;
 /// simulated processor, before dirty-tracking elides clean ghost units);
 /// `rank_compute_ns` is the *measured* wall-time each simulated processor
 /// spent in compute kernels during the last timestep, sampled by the
-/// exchange backends (all zeros when the last step ran on the
-/// scoped-thread executor, which does not sample).
+/// exchange backends (for a timestep that is not fused, the last
+/// statement's sample).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Simulated processor count the vectors below are indexed by.
@@ -84,8 +83,8 @@ impl ProgramStats {
     }
 }
 
-/// A program: distributed arrays plus an ordered statement list. Each
-/// statement executes as one BSP superstep (exchange, then compute).
+/// A program: distributed arrays plus an ordered statement list, executed
+/// one timestep at a time (see [`crate::Session`]).
 #[derive(Debug, Default)]
 pub struct Program {
     /// The arrays, referenced by position from the statements.
@@ -95,8 +94,8 @@ pub struct Program {
     /// The shared-address-space exchange backend (cheap, always present).
     shared: SharedMemBackend,
     /// The message-passing SPMD backend, created lazily on the first
-    /// [`Program::run_on`]`(Channels)` / [`Program::run_parallel`] call;
-    /// its worker fleet then persists across timesteps.
+    /// `Channels` timestep; its worker fleet then persists across
+    /// timesteps.
     channels: Option<ChannelsBackend>,
     /// Reused per-run analysis handles — retains its capacity so warm
     /// timesteps push into it without allocating.
@@ -108,10 +107,8 @@ pub struct Program {
     /// Wedge-detection timeout for the `Channels` driver, if overridden.
     step_timeout: Option<Duration>,
     /// Which backend executed the last timestep — the source of the
-    /// measured per-rank compute-time sample [`Program::stats`] reports
-    /// (`None` when the last step ran on the scoped-thread executor,
-    /// which does not sample).
-    last_backend: Option<Backend>,
+    /// measured per-rank compute-time sample [`Program::stats`] reports.
+    last_backend: Backend,
 }
 
 impl Clone for Program {
@@ -128,7 +125,7 @@ impl Clone for Program {
             last: self.last.clone(),
             pending_faults: None,
             step_timeout: self.step_timeout,
-            last_backend: None,
+            last_backend: Backend::SharedMem,
         }
     }
 }
@@ -145,7 +142,7 @@ impl Program {
             last: Vec::new(),
             pending_faults: None,
             step_timeout: None,
-            last_backend: None,
+            last_backend: Backend::SharedMem,
         }
     }
 
@@ -168,70 +165,44 @@ impl Program {
         self.stmts.is_empty()
     }
 
-    /// Execute one timestep through the `SharedMem` exchange backend.
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).run(steps)`.
-    #[deprecated(note = "use `Session::new(program).run(steps)` instead")]
-    pub fn run(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_seq()
-    }
-
-    /// Execute one timestep on the selected backend.
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).backend(backend).run(steps)`.
-    #[deprecated(note = "use `Session::new(program).backend(b).run(steps)` instead")]
-    pub fn run_on(&mut self, backend: Backend) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_on(backend)
-    }
-
-    /// Execute every statement in order through the `SharedMem` exchange
-    /// backend, returning the per-statement analyses (shared handles into
-    /// the frozen plans). Plans are cached: repeated calls replay
-    /// compiled schedules instead of re-inspecting, and a fully-warm call
-    /// performs **zero heap allocations** — block-copy pack into cached
-    /// workspaces, staged per-pair exchange through preallocated message
-    /// buffers, slice-kernel compute, `Arc` bumps for the analyses.
-    /// Equivalent to [`Program::step_on`]`(Backend::SharedMem)`.
-    pub(crate) fn step_seq(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_on(Backend::SharedMem)
-    }
-
-    /// Execute every statement in order on the selected
-    /// [`Backend`] (same plan cache, same semantics — the
-    /// backend-equivalence suite pins bit-identical results). The whole
-    /// timestep runs through the **fused program plan** (see
-    /// [`crate::ProgramPlan`]): statements are level-scheduled into
+    /// Execute one timestep — every statement in order — on the selected
+    /// [`Backend`], returning the per-statement analyses (shared handles
+    /// into the frozen plans). Fused, the whole timestep runs as one
+    /// [`crate::ProgramPlan`]: statements are level-scheduled into
     /// supersteps, same-pair messages coalesce, and ghost units whose
-    /// receiver-side data is still current are skipped entirely. The
-    /// `Channels` backend's SPMD worker fleet is created on first use and
-    /// persists across timesteps, and every backend cross-checks its
-    /// measured per-pair wire traffic against the dirty-tracking mask.
-    pub(crate) fn step_on(
+    /// receiver-side data is still current are skipped. Not fused, each
+    /// statement is its own superstep with a full ghost exchange — the
+    /// pre-fusion baseline. Both go through the same plan cache and the
+    /// same backend call, so results are bit-identical; the `Channels`
+    /// backend's SPMD worker fleet is created on first use and persists
+    /// across timesteps. A fully warm `SharedMem` call performs **zero
+    /// heap allocations**.
+    pub(crate) fn step(
         &mut self,
         backend: Backend,
+        fused: bool,
     ) -> Result<&[Arc<CommAnalysis>], HpfError> {
+        // don't leave a stale or truncated list masquerading as this
+        // timestep's analyses
+        self.last.clear();
         if self.stmts.is_empty() {
-            self.last.clear();
             return Ok(&self.last);
         }
         self.arm_pending(backend);
-        self.last_backend = Some(backend);
-        let target = match backend {
-            Backend::SharedMem => FusedTarget::Shared(&mut self.shared),
+        self.last_backend = backend;
+        let exchange: &mut dyn ExchangeBackend = match backend {
+            Backend::SharedMem => &mut self.shared,
             Backend::Channels => {
                 let ch = self.channels.get_or_insert_with(ChannelsBackend::new);
                 if let Some(t) = self.step_timeout {
                     ch.set_step_timeout(t);
                 }
-                FusedTarget::Channels(ch)
+                ch
             }
         };
-        let result = self.cache.replay_fused_on(&mut self.arrays, &self.stmts, target);
-        self.finish_fused(result)
+        self.cache.step(&mut self.arrays, &self.stmts, fused, exchange)?;
+        self.last.extend(self.cache.timestep_plans().map(|p| p.shared_analysis()));
+        Ok(&self.last)
     }
 
     /// Move a pending [`FaultPlan`] onto the backend this run selected —
@@ -247,112 +218,6 @@ impl Program {
             Backend::Channels => {
                 self.channels.get_or_insert_with(ChannelsBackend::new).inject(plan)
             }
-        }
-    }
-
-    /// Execute one unfused timestep (per-statement supersteps, full ghost
-    /// exchange).
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).fused(false).run(steps)`.
-    #[deprecated(note = "use `Session::new(program).fused(false).run(steps)` instead")]
-    pub fn run_unfused(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_unfused()
-    }
-
-    /// Execute the statements exactly as the pre-fusion runtime did: one
-    /// per-statement BSP superstep each, full ghost exchange every
-    /// timestep, through the `SharedMem` backend. The per-statement
-    /// plans come from the same cache the fused path builds on. This is
-    /// the baseline the `b15_program_fusion` bench and the fusion
-    /// equivalence suite compare against.
-    pub(crate) fn step_unfused(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.arm_pending(Backend::SharedMem);
-        self.last_backend = Some(Backend::SharedMem);
-        self.last.clear();
-        self.last.reserve(self.stmts.len()); // no-op once warmed
-        let exchange: &mut dyn ExchangeBackend = &mut self.shared;
-        for stmt in &self.stmts {
-            match self.cache.replay_on(&mut self.arrays, stmt, exchange) {
-                Ok(analysis) => self.last.push(analysis),
-                Err(e) => {
-                    // don't leave a truncated prefix masquerading as a
-                    // successful run's analyses
-                    self.last.clear();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(&self.last)
-    }
-
-    /// Execute one timestep with work spread over at most `threads` OS
-    /// threads.
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).threads(t).run(steps)` (or
-    /// `.backend(Backend::Channels)` when `t` covers the simulated
-    /// processor count).
-    #[deprecated(note = "use `Session::new(program).threads(t).run(steps)` instead")]
-    pub fn run_parallel(
-        &mut self,
-        threads: usize,
-    ) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_par(threads)
-    }
-
-    /// Execute in order with the statements' work spread over at most
-    /// `threads` OS threads (same plan cache, same semantics as
-    /// [`Program::step_seq`]), through the fused program plan.
-    ///
-    /// When `threads` covers the simulated processor count this replays
-    /// through the persistent `Channels` SPMD workers — one long-lived
-    /// worker per simulated processor — so repeated parallel timesteps
-    /// stop paying per-timestep thread-spawn cost (the fleet is spawned
-    /// once; `zero_alloc_replay` pins the spawn count). With
-    /// `1 < threads < np` the upper bound is honored by the fused
-    /// scoped-thread executor (`threads` workers per pack/compute wave),
-    /// and `threads <= 1` degenerates to the sequential replay.
-    pub(crate) fn step_par(
-        &mut self,
-        threads: usize,
-    ) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        if threads <= 1 {
-            return self.step_seq();
-        }
-        let np = self.np();
-        if threads >= np {
-            return self.step_on(Backend::Channels);
-        }
-        if self.stmts.is_empty() {
-            self.last.clear();
-            return Ok(&self.last);
-        }
-        // the scoped-thread executor does not sample per-rank compute time
-        self.last_backend = None;
-        let result =
-            self.cache.replay_fused_on(&mut self.arrays, &self.stmts, FusedTarget::Par(threads));
-        self.finish_fused(result)
-    }
-
-    /// Rebuild the per-statement analysis handles from a fused timestep's
-    /// outcome (`Arc` bumps only — allocation-free once `last` is at
-    /// capacity), clearing them on failure so a truncated run never
-    /// masquerades as a successful one.
-    fn finish_fused(
-        &mut self,
-        result: Result<Arc<crate::ProgramPlan>, HpfError>,
-    ) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.last.clear();
-        match result {
-            Ok(plan) => {
-                self.last.reserve(self.stmts.len()); // no-op once warmed
-                self.last.extend(plan.plans().iter().map(|p| p.shared_analysis()));
-                Ok(&self.last)
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -425,16 +290,14 @@ impl Program {
     }
 
     /// The measured per-rank compute-time sample of the last timestep
-    /// (empty when the last step ran on the scoped-thread executor or
-    /// nothing ran yet). Borrowed straight from the backend — no
-    /// allocation, safe on the warm path.
+    /// (empty before the first one). Borrowed straight from the backend —
+    /// no allocation, safe on the warm path.
     pub fn last_rank_compute_ns(&self) -> &[u64] {
         match self.last_backend {
-            Some(Backend::SharedMem) => self.shared.rank_compute_ns(),
-            Some(Backend::Channels) => {
+            Backend::SharedMem => self.shared.rank_compute_ns(),
+            Backend::Channels => {
                 self.channels.as_ref().map_or(&[][..], |c| c.rank_compute_ns())
             }
-            None => &[],
         }
     }
 
@@ -444,8 +307,7 @@ impl Program {
     /// anything executes (see [`crate::verify::verify_plan`]).
     ///
     /// Statements not yet cached are inspected through the plan cache, so
-    /// a later [`Program::run`] replays the very plans that were just
-    /// proven safe. No array data moves. Returns `Err` only when a
+    /// later timesteps replay the very plans that were just proven safe. No array data moves. Returns `Err` only when a
     /// statement cannot be compiled at all; schedule defects come back as
     /// diagnostics in the [`VerifyReport`](crate::VerifyReport).
     pub fn verify_all(&mut self) -> Result<crate::VerifyReport, HpfError> {
@@ -484,12 +346,9 @@ impl Program {
     }
 
     /// Arm deterministic fault injection (see [`crate::FaultPlan`]) on
-    /// whichever exchange backend the *next* run selects. Each fault
-    /// fires once when its superstep comes around; an affected run
-    /// returns [`HpfError::Exchange`] and the array data must be
-    /// restored from a checkpoint before replaying (see
-    /// [`Program::restore_latest`] and [`ckpt::run_trajectory`]).
-    pub fn inject_faults(&mut self, plan: FaultPlan) {
+    /// whichever exchange backend the *next* timestep selects — set
+    /// through [`Session::inject_faults`](crate::Session::inject_faults).
+    pub(crate) fn inject_faults(&mut self, plan: FaultPlan) {
         self.pending_faults = Some(plan);
     }
 
@@ -499,11 +358,9 @@ impl Program {
             + self.channels.as_ref().map_or(0, |c| c.faults_fired())
     }
 
-    /// Override the `Channels` driver's wedge-detection timeout (how long
-    /// it waits without worker progress before declaring the superstep
-    /// lost — default 120s). Fault-injection tests dial this down so a
-    /// dropped message surfaces in milliseconds.
-    pub fn set_exchange_timeout(&mut self, timeout: Duration) {
+    /// Override the `Channels` driver's wedge-detection timeout — set
+    /// through [`Session::exchange_timeout`](crate::Session::exchange_timeout).
+    pub(crate) fn set_exchange_timeout(&mut self, timeout: Duration) {
         self.step_timeout = Some(timeout);
         if let Some(ch) = &mut self.channels {
             ch.set_step_timeout(timeout);
@@ -546,18 +403,18 @@ impl Program {
     }
 
     /// SPMD worker threads spawned over the program's lifetime: 0 before
-    /// the first `Channels` run, then the simulated processor count —
-    /// staying there across warm parallel timesteps is the
-    /// persistent-worker contract.
+    /// the first `Channels` timestep, then the simulated processor count —
+    /// staying there across warm timesteps is the persistent-worker
+    /// contract.
     pub fn spmd_workers_spawned(&self) -> u64 {
         self.channels.as_ref().map_or(0, |c| c.workers_spawned())
     }
 
-    /// Observability snapshot of the fused program path: supersteps
+    /// Observability snapshot of the program-plan path: supersteps
     /// formed, messages before/after coalescing, and the ghost traffic
     /// dirty-tracking avoided — alongside the existing
     /// [`Program::cache_hits`] / [`Program::backend_bytes_sent`]
-    /// counters. Zeroed until the first fused timestep runs.
+    /// counters. Zeroed until the first timestep runs.
     pub fn fusion_stats(&self) -> FusionStats {
         self.cache.fusion_stats()
     }
@@ -584,8 +441,8 @@ impl Program {
 
     /// Price a set of per-statement analyses on a machine: the sum of the
     /// per-superstep estimates plus the merged traffic matrix. Accepts
-    /// both owned analyses and the shared handles [`Program::run`]
-    /// returns.
+    /// both owned analyses and the shared handles
+    /// [`Program::last_analyses`] returns.
     pub fn price<A: std::borrow::Borrow<CommAnalysis>>(
         analyses: &[A],
         machine: &Machine,
@@ -653,7 +510,7 @@ mod tests {
         prog.push(s1).unwrap();
         prog.push(s2).unwrap();
         assert_eq!(prog.len(), 2);
-        let analyses = prog.step_seq().unwrap();
+        let analyses = prog.step(Backend::SharedMem, true).unwrap();
         assert_eq!(analyses.len(), 2);
         // A = B = 2i; then B = A + B = 4i
         for i in 1..=32i64 {
@@ -689,8 +546,9 @@ mod tests {
         build_stmts(&mut seq);
         let mut par = setup();
         build_stmts(&mut par);
-        seq.step_seq().unwrap();
-        par.step_par(3).unwrap();
+        seq.step(Backend::SharedMem, true).unwrap();
+        par.step(Backend::Channels, true).unwrap();
+        assert_eq!(par.spmd_workers_spawned(), 4, "the parallel path is the SPMD fleet");
         assert_eq!(seq.arrays[0].to_dense(), par.arrays[0].to_dense());
         assert_eq!(seq.arrays[1].to_dense(), par.arrays[1].to_dense());
     }
@@ -709,7 +567,7 @@ mod tests {
         .unwrap();
         prog.push(s.clone()).unwrap();
         prog.push(s).unwrap();
-        let analyses = prog.step_seq().unwrap();
+        let analyses = prog.step(Backend::SharedMem, true).unwrap();
         let machine = Machine::simple(4);
         let (total, traffic, reports) = Program::price(analyses, &machine);
         assert_eq!(reports.len(), 2);
@@ -756,7 +614,7 @@ mod tests {
         .unwrap();
         let expect = dense_reference(&prog.arrays, &s);
         prog.push(s).unwrap();
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, true).unwrap();
         assert_eq!(prog.arrays[0].to_dense(), expect);
     }
 
@@ -779,7 +637,7 @@ mod tests {
         prog.push(sweep).unwrap();
         let timesteps = 10u64;
         for _ in 0..timesteps {
-            prog.step_seq().unwrap();
+            prog.step(Backend::SharedMem, true).unwrap();
         }
         assert_eq!(prog.cache_misses(), 1, "exactly one inspection");
         assert_eq!(prog.cache_hits(), timesteps - 1, "every later timestep replays");
@@ -798,8 +656,8 @@ mod tests {
         )
         .unwrap();
         prog.push(s).unwrap();
-        prog.step_seq().unwrap();
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, true).unwrap();
+        prog.step(Backend::SharedMem, true).unwrap();
         assert_eq!((prog.cache_hits(), prog.cache_misses()), (1, 1));
 
         // REDISTRIBUTE B: BLOCK now — values survive, plans invalidate
@@ -811,9 +669,9 @@ mod tests {
         assert_eq!(prog.arrays[1].to_dense(), before, "values must survive the move");
         assert!(r.moved > 0, "BLOCK ↔ CYCLIC moves most elements");
 
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, true).unwrap();
         assert_eq!(prog.cache_misses(), 2, "remap forces re-inspection");
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, true).unwrap();
         assert_eq!(prog.cache_hits(), 2, "and the fresh plan is reused again");
     }
 

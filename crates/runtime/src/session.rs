@@ -1,40 +1,27 @@
-//! The unified execution-session API: one builder, every execution
-//! concern.
+//! The execution-session API: one builder, every execution concern.
 //!
-//! Running a [`Program`] used to mean choosing among `run`, `run_on`,
-//! `run_parallel`, `run_unfused`, and `run_trajectory`, each with its
-//! own knobs threaded through positional arguments. A [`Session`]
-//! collapses them into one builder:
+//! A [`Session`] drives a [`Program`] timestep by timestep — backend,
+//! fusion, checkpoint cadence, fault recovery, and adaptive
+//! redistribution in one place:
 //!
 //! ```
 //! use hpf_runtime::{Backend, Program, Session};
 //! # let program = Program::new(Vec::new());
 //! let mut session = Session::new(program)
-//!     .backend(Backend::SharedMem); // .threads(8), .checkpoint(spec),
-//!                                   // .adapt(policy), .fused(false), ...
+//!     .backend(Backend::SharedMem); // .checkpoint(spec), .adapt(policy),
+//!                                   // .fused(false), ...
 //! let report = session.run(10).unwrap();
 //! assert_eq!(report.timesteps, 10);
 //! ```
 //!
-//! Migration from the legacy entry points:
-//!
-//! | legacy                                  | session                                           |
-//! |-----------------------------------------|---------------------------------------------------|
-//! | `prog.run()`                            | `Session::new(prog).run(1)`                       |
-//! | `prog.run_on(b)`                        | `Session::new(prog).backend(b).run(1)`            |
-//! | `prog.run_parallel(t)`                  | `Session::new(prog).threads(t).run(1)`            |
-//! | `prog.run_unfused()`                    | `Session::new(prog).fused(false).run(1)`          |
-//! | `run_trajectory(&mut p, b, n, 0, c, r)` | `Session::new(p).backend(b).checkpoint(c).recovery(r).run(n)` |
-//!
 //! A session owns its program ([`Session::program`] /
 //! [`Session::program_mut`] / [`Session::into_program`] give it back),
-//! tracks the absolute timestep across `run` calls, executes the same
-//! restore-and-replay recovery loop `run_trajectory` did whenever a
-//! checkpoint cadence is configured, and — the part no legacy entry
-//! point offered — hosts the [`AdaptController`] so mappings are
+//! tracks the absolute timestep across `run` calls, executes the
+//! restore-and-replay recovery loop whenever a checkpoint cadence is
+//! configured, and hosts the [`AdaptController`] so mappings are
 //! re-balanced *live* between timesteps (see [`crate::adapt`]).
 //!
-//! Warm sequential `run` calls preserve the zero-allocation replay
+//! Warm `SharedMem` `run` calls preserve the zero-allocation replay
 //! contract: the session's own bookkeeping is plain field updates, so
 //! everything the timestep allocates is what the program's replay path
 //! allocates — nothing.
@@ -69,15 +56,12 @@ pub struct SessionReport {
     pub remaps: u64,
 }
 
-/// Builder-style driver for a [`Program`]: backend, thread bound,
-/// fusion, checkpoint cadence, fault recovery, and adaptive
-/// redistribution in one place. The module-level docs carry the
-/// migration table from the legacy `run*` entry points.
+/// Builder-style driver for a [`Program`]: backend, fusion, checkpoint
+/// cadence, fault recovery, and adaptive redistribution in one place.
 #[derive(Debug)]
 pub struct Session {
     program: Program,
     backend: Backend,
-    threads: usize,
     fused: bool,
     checkpoint: Option<CheckpointSpec>,
     recovery: RecoveryPolicy,
@@ -89,14 +73,12 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session over `program` with the defaults of the legacy
-    /// `Program::run`: `SharedMem` backend, fused timesteps, no
-    /// checkpoints, no adaptation.
+    /// A session over `program` with the defaults: `SharedMem` backend,
+    /// fused timesteps, no checkpoints, no adaptation.
     pub fn new(program: Program) -> Self {
         Session {
             program,
             backend: Backend::SharedMem,
-            threads: 0,
             fused: true,
             checkpoint: None,
             recovery: RecoveryPolicy::default(),
@@ -123,25 +105,16 @@ impl Session {
         self
     }
 
-    /// Bound the worker threads per timestep. `t >= np` routes through
-    /// the persistent `Channels` SPMD fleet; `1 < t < np` uses the
-    /// bounded scoped-thread executor; `t <= 1` (the default) defers to
-    /// the configured [`Session::backend`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Route timesteps through the fused program plan (default `true`).
     /// `fused(false)` executes per-statement supersteps with full ghost
-    /// exchange on the `SharedMem` backend — the pre-fusion baseline.
+    /// exchange on the configured backend — the pre-fusion baseline.
     pub fn fused(mut self, fused: bool) -> Self {
         self.fused = fused;
         self
     }
 
     /// Checkpoint on `spec`'s cadence and recover from exchange faults
-    /// by restore-and-replay (the former `run_trajectory` loop).
+    /// by restore-and-replay.
     pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.checkpoint = Some(spec);
         self
@@ -172,14 +145,20 @@ impl Session {
         self
     }
 
-    /// Arm deterministic fault injection on the backend the next
-    /// timestep selects (see [`Program::inject_faults`]).
+    /// Arm deterministic fault injection (see [`FaultPlan`]) on the
+    /// backend the next timestep selects. Each fault fires once when its
+    /// superstep comes around; an affected timestep fails with
+    /// [`HpfError::Exchange`], which the checkpoint recovery loop
+    /// restores and replays.
     pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
         self.program.inject_faults(plan);
         self
     }
 
-    /// Override the `Channels` driver's wedge-detection timeout.
+    /// Override the `Channels` driver's wedge-detection timeout (how long
+    /// it waits without worker progress before declaring the superstep
+    /// lost — default 120s). Fault-injection tests dial this down so a
+    /// dropped message surfaces in milliseconds.
     pub fn exchange_timeout(mut self, timeout: Duration) -> Self {
         self.program.set_exchange_timeout(timeout);
         self
@@ -217,20 +196,6 @@ impl Session {
         self.program.last_analyses()
     }
 
-    /// Execute one timestep on the configured executor.
-    fn step_once(&mut self, backend: Backend) -> Result<(), HpfError> {
-        if !self.fused {
-            self.program.step_unfused()?;
-        } else if self.threads > 1 {
-            self.program.step_par(self.threads)?;
-        } else if self.threads == 1 {
-            self.program.step_seq()?;
-        } else {
-            self.program.step_on(backend)?;
-        }
-        Ok(())
-    }
-
     /// Advance the session by `steps` timesteps, applying every
     /// configured concern per timestep: adaptive remap decision →
     /// execute → observe → checkpoint cadence — with the
@@ -238,8 +203,7 @@ impl Session {
     /// checkpoint cadence is configured. Returns the cumulative report.
     ///
     /// On an exchange fault with no checkpoint configured (or with
-    /// retries exhausted) the fault propagates to the caller, exactly
-    /// as the legacy entry points did.
+    /// retries exhausted) the fault propagates to the caller.
     pub fn run(&mut self, steps: u64) -> Result<SessionReport, HpfError> {
         if self.adapt_policy.is_some() && self.controller.is_none() {
             let np = self.program.np();
@@ -272,8 +236,8 @@ impl Session {
                     }
                 }
             }
-            match self.step_once(backend) {
-                Ok(()) => {
+            match self.program.step(backend, self.fused) {
+                Ok(_) => {
                     self.timestep += 1;
                     consecutive = 0;
                     if let Some(ctrl) = &mut self.controller {
@@ -358,7 +322,7 @@ mod tests {
         let mut legacy = stencil(48, 4);
         let mut session = Session::new(stencil(48, 4));
         for _ in 0..5 {
-            legacy.step_seq().unwrap();
+            legacy.step(Backend::SharedMem, true).unwrap();
         }
         let report = session.run(5).unwrap();
         assert_eq!(report.timesteps, 5);
@@ -380,8 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn threads_route_to_channels_fleet() {
-        let mut s = Session::new(stencil(32, 4)).threads(4);
+    fn channels_backend_routes_to_spmd_fleet() {
+        let mut s = Session::new(stencil(32, 4)).backend(Backend::Channels);
         s.run(3).unwrap();
         assert_eq!(s.program().spmd_workers_spawned(), 4);
         let mut twin = Session::new(stencil(32, 4));
@@ -397,12 +361,15 @@ mod tests {
     fn unfused_session_matches_fused() {
         let mut fused = Session::new(stencil(40, 4));
         let mut unfused = Session::new(stencil(40, 4)).fused(false);
+        let mut unfused_channels =
+            Session::new(stencil(40, 4)).fused(false).backend(Backend::Channels);
         fused.run(4).unwrap();
         unfused.run(4).unwrap();
-        assert_eq!(
-            fused.program().arrays[0].to_dense(),
-            unfused.program().arrays[0].to_dense()
-        );
+        unfused_channels.run(4).unwrap();
+        let want = fused.program().arrays[0].to_dense();
+        assert_eq!(want, unfused.program().arrays[0].to_dense());
+        assert_eq!(want, unfused_channels.program().arrays[0].to_dense());
+        assert_eq!(unfused_channels.program().spmd_workers_spawned(), 4);
     }
 
     #[test]

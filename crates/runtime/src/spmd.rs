@@ -2,43 +2,42 @@
 //!
 //! Each simulated processor runs as a **long-lived worker thread** that
 //! owns only its local shards (one buffer per array) plus its ghost
-//! regions for the statement being executed. Data moves between workers
+//! regions for the plan being executed. Data moves between workers
 //! exclusively as packed messages over channels — no worker ever reads
 //! another worker's buffer, which is what finally *validates* that the
 //! compiled schedules (and the paper's statically-computed communication
 //! sets behind them) are sufficient for a real distributed-memory
 //! machine.
 //!
-//! One superstep ([`ChannelsBackend::step`] via the
-//! [`ExchangeBackend`] trait):
+//! One timestep ([`ExchangeBackend::step`]):
 //!
 //! 1. the driver moves each processor's local buffers *by value* into its
-//!    worker (an ownership handoff — pointer moves, no copying);
-//! 2. every worker packs its local gather runs from its own shards, then
-//!    packs **one message per outgoing pair** from the plan's
-//!    [`MessagePlan`] and ships it; spent message buffers are recycled
-//!    through a shared free-list, so warm steps reuse wire buffers
-//!    instead of growing the heap;
-//! 3. every worker receives exactly the messages the frozen schedule says
-//!    it must (checking each physically received buffer's length against
-//!    its schedule — a damaged payload, or sender and receiver executing
+//!    worker (an ownership handoff — pointer moves, no copying), together
+//!    with the [`ProgramPlan`] and the timestep's effective-send mask;
+//! 2. per superstep, every worker packs its local gather runs from its
+//!    own shards, then packs **one message per outgoing coalesced pair**
+//!    hoisted to the phase and ships it; spent message buffers are
+//!    recycled through a shared free-list, so warm steps reuse wire
+//!    buffers instead of growing the heap;
+//! 3. every worker receives exactly the messages its kernels read
+//!    (checking each physically received buffer's length against the
+//!    mask — a damaged payload, or sender and receiver executing
 //!    different plans, surfaces as a typed [`ExchangeError`] before any
 //!    garbage is unpacked), unpacks them into its packed operand buffers
-//!    (kept across steps, per worker), and computes into its own LHS
-//!    shard;
+//!    (kept across timesteps, per worker), and computes into its own LHS
+//!    shards;
 //! 4. the driver collects the shards back and reinstalls them. The
 //!    schedule itself was already cross-checked pair for pair against the
 //!    independent region-algebraic [`CommAnalysis`](crate::CommAnalysis)
-//!    at inspect time (see [`ExecPlan::inspect`]).
+//!    at inspect time (see [`ExecPlan::inspect`](crate::ExecPlan::inspect)).
 //!
-//! Workers persist across supersteps (and across plans — any plan with
+//! Workers persist across timesteps (and across plans — any plan with
 //! the same processor count reuses them), so iterated programs pay thread
-//! spawn cost **once**, not per timestep: this is what
-//! [`crate::Program::run_parallel`] replays through once warm.
+//! spawn cost **once**, not per timestep.
 //!
 //! ## Failure handling
 //!
-//! A superstep that cannot complete — a worker died (crash or injected
+//! A timestep that cannot complete — a worker died (crash or injected
 //! kill), a message was lost or arrived damaged, the fleet wedged — no
 //! longer aborts the process. The worker that *detects* the problem
 //! reports it to the driver as a typed [`ExchangeError`] (a worker whose
@@ -46,68 +45,40 @@
 //! pins silent deaths by polling thread handles); the driver then raises
 //! the shutdown flag so blocked peers abandon, drains whatever completed
 //! shards still come back during a short grace window, tears the fleet
-//! down, and returns the error. The next superstep respawns a fresh
-//! fleet automatically — the spawn-generation bump tells the fused
-//! dirty-tracking state its workers' ghost buffers are gone (see
-//! [`ChannelsBackend::prepare`]) — and the caller restores array state
-//! from a checkpoint and replays (see [`crate::ckpt::run_trajectory`]).
-//! A dead worker takes the shards in its custody with it, which is
-//! exactly what a crashed distributed-memory node does: recovery is
-//! restore-and-replay, never patch-up.
+//! down, and returns the error. The next timestep respawns a fresh fleet
+//! automatically — the spawn-generation bump tells the dirty-tracking
+//! state its workers' ghost buffers are gone — and the caller restores
+//! array state from a checkpoint and replays (see
+//! [`Session::checkpoint`](crate::Session::checkpoint)). A dead worker
+//! takes the shards in its custody with it, which is exactly what a
+//! crashed distributed-memory node does: recovery is restore-and-replay,
+//! never patch-up.
 
 use crate::array::DistArray;
 use crate::backend::{ExchangeBackend, ExchangeError};
 use crate::fault::{FaultPlan, FaultSwitch, SendAction};
-use crate::fuse::ProgramPlan;
-use crate::plan::{compute_proc, ExecPlan};
-use crate::workspace::PlanWorkspace;
+use crate::fuse::{BufferDomain, FusedState, ProgramPlan};
+use crate::plan::compute_proc;
+use crate::workspace::FusedWorkspace;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A work order for a worker.
-#[derive(Debug)]
-enum Cmd {
-    /// One per-statement BSP superstep.
-    Step(Step),
-    /// One whole fused timestep (every superstep of a [`ProgramPlan`]).
-    Fused(FusedStep),
-}
-
-impl Cmd {
-    /// The backend superstep counter stamped on this work order (workers
-    /// use it to stamp errors and to match injected faults).
-    fn step(&self) -> u64 {
-        match self {
-            Cmd::Step(s) => s.step,
-            Cmd::Fused(s) => s.step,
-        }
-    }
-}
-
-/// One superstep's work order for a worker: the compiled plan plus the
-/// worker's own shards (local buffer of every array), moved in by value.
-#[derive(Debug)]
-struct Step {
-    plan: Arc<ExecPlan>,
-    shards: Vec<Vec<f64>>,
-    /// Backend superstep counter at dispatch.
-    step: u64,
-}
-
-/// One fused timestep's work order: the fused plan, the timestep's
+/// One timestep's work order for a worker: the plan, the timestep's
 /// effective-send mask (shared by every worker, so sender and receiver
-/// agree on which units ride the wire), and the worker's shards.
+/// agree on which units ride the wire), and the worker's shards (local
+/// buffer of every array), moved in by value.
 #[derive(Debug)]
-struct FusedStep {
+struct Cmd {
     plan: Arc<ProgramPlan>,
     eff: Arc<Vec<bool>>,
-    /// Mask rebuild stamp from [`crate::fuse::FusedState`] — workers
-    /// re-derive their per-pair effective totals only when it moves.
+    /// Mask rebuild stamp from [`FusedState`] — workers re-derive their
+    /// per-pair effective totals only when it moves.
     eff_version: u64,
     shards: Vec<Vec<f64>>,
-    /// Backend superstep counter at dispatch.
+    /// Backend superstep counter at dispatch (workers use it to stamp
+    /// errors and to match injected faults).
     step: u64,
 }
 
@@ -124,17 +95,11 @@ struct Done {
     compute_ns: u64,
 }
 
-/// Identifies an unfused message, which the receiver matches to its
-/// schedule by sender (one pair per sender per statement). Fused
-/// messages instead carry their [`FusedPair`](crate::FusedPair) index.
-const UNFUSED: u32 = u32::MAX;
-
 /// A packed message on the wire.
 #[derive(Debug)]
 struct Msg {
     from: u32,
-    /// [`UNFUSED`] for a per-statement message; otherwise the index of
-    /// the fused pair the payload belongs to.
+    /// Index of the [`FusedPair`](crate::FusedPair) the payload belongs to.
     pair: u32,
     data: Vec<f64>,
 }
@@ -258,89 +223,6 @@ impl WorkerCtx {
     }
 }
 
-/// One unfused BSP superstep on a worker (see the module docs). Returns
-/// `Ok(false)` iff the superstep was abandoned on shutdown — the caller
-/// must then exit without sending a `Done`. An `Err` is a typed failure
-/// this worker detected; the caller reports it to the driver.
-fn run_unfused_step(
-    ctx: &WorkerCtx,
-    step: u64,
-    plan: &Arc<ExecPlan>,
-    shards: &mut [Vec<f64>],
-    packed: &mut Vec<Vec<f64>>,
-    compute_ns: &mut u64,
-) -> Result<bool, ExchangeError> {
-    let me = ctx.me;
-    let pp = &plan.per_proc()[me];
-    let me32 = me as u32;
-    if packed.len() != pp.terms.len()
-        || packed.iter().zip(&pp.terms).any(|(b, t)| b.len() != t.elements)
-    {
-        *packed = pp.terms.iter().map(|t| vec![0.0f64; t.elements]).collect();
-    }
-    // phase 1: pack local runs from this worker's own shards
-    for (ts, buf) in pp.terms.iter().zip(packed.iter_mut()) {
-        for r in ts.runs.iter().filter(|r| r.src == me32) {
-            buf[r.dst_off..r.dst_off + r.len]
-                .copy_from_slice(&shards[ts.array][r.src_off..r.src_off + r.len]);
-        }
-    }
-    // phase 2a: pack and ship one message per outgoing pair
-    let msgs = plan.message_plan();
-    for pair in msgs.pairs().iter().filter(|p| p.sender == me32) {
-        let mut data = pool_lock(&ctx.pool).pop().unwrap_or_default();
-        data.clear();
-        data.reserve(pair.elements);
-        for seg in &pair.segments {
-            data.extend_from_slice(&shards[seg.array][seg.src_off..seg.src_off + seg.len]);
-        }
-        if !ctx.ship(pair.receiver, UNFUSED, data, step)? {
-            return Ok(false);
-        }
-    }
-    // phase 2b: receive exactly the messages the schedule promises.
-    // Bounded waits: if the fleet is shutting down (backend dropped,
-    // or unwinding after a peer died), abandon the superstep instead
-    // of blocking forever on a message that will never arrive. The
-    // shutdown flag is a dedicated signal — probing the command
-    // channel here could swallow a queued command.
-    let expected = msgs.pairs().iter().filter(|p| p.receiver == me32).count();
-    for _ in 0..expected {
-        let Some(Msg { from, data, .. }) = ctx.recv() else {
-            return Ok(false); // shutdown mid-superstep
-        };
-        let Some(pair) = msgs.pair(from, me32) else {
-            return Err(ExchangeError::Misrouted { rank: me32, step });
-        };
-        // a physically received buffer whose length disagrees with the
-        // receiver's schedule means the payload was damaged in flight or
-        // sender and receiver executed different plans — report it typed,
-        // never unpack garbage
-        if data.len() != pair.elements {
-            return Err(ExchangeError::CorruptMessage {
-                sender: from,
-                receiver: me32,
-                step,
-                got: data.len(),
-                expected: pair.elements,
-            });
-        }
-        let mut off = 0usize;
-        for seg in &pair.segments {
-            packed[seg.term][seg.dst_off..seg.dst_off + seg.len]
-                .copy_from_slice(&data[off..off + seg.len]);
-            off += seg.len;
-        }
-        pool_lock(&ctx.pool).push(data);
-    }
-    // phase 3: compute into this worker's own LHS shard (timed — the
-    // per-processor load sample reported back with the completion)
-    let t0 = Instant::now();
-    compute_proc(pp, &mut shards[plan.lhs()], packed, plan.combine());
-    *compute_ns += t0.elapsed().as_nanos() as u64;
-    Ok(true)
-}
-
 /// One whole fused timestep on a worker: run the [`ProgramPlan`]'s
 /// supersteps **without global barriers** — pack the superstep's local
 /// runs, ship every outgoing fused pair *hoisted* to this phase (only its
@@ -406,7 +288,10 @@ fn run_fused_step(
             let mut data = pool_lock(&ctx.pool).pop().unwrap_or_default();
             data.clear();
             data.reserve(scratch.eff_elems[k]);
-            for seg in pair.segments.iter().filter(|s| eff[s.unit]) {
+            // a pair that ships whole (always, without ghost reuse) skips
+            // the per-segment mask lookup
+            let whole = scratch.eff_elems[k] == pair.elements;
+            for seg in pair.segments.iter().filter(|s| whole || eff[s.unit]) {
                 data.extend_from_slice(&shards[seg.array][seg.src_off..seg.src_off + seg.len]);
             }
             if !ctx.ship(pair.receiver, k as u32, data, step)? {
@@ -429,13 +314,11 @@ fn run_fused_step(
                 return Ok(false); // shutdown mid-timestep
             };
             let k = k as usize;
-            // an unfused message during a fused timestep, or a pair
-            // delivered to a worker whose schedule doesn't receive it,
-            // is a routing failure, not corruption
-            if k == UNFUSED as usize {
+            // a pair delivered to a worker whose schedule doesn't receive
+            // it is a routing failure, not corruption
+            let Some(pair) = plan.pairs().get(k) else {
                 return Err(ExchangeError::Misrouted { rank: me32, step });
-            }
-            let pair = &plan.pairs()[k];
+            };
             if (pair.sender, pair.receiver) != (from, me32) {
                 return Err(ExchangeError::Misrouted { rank: me32, step });
             }
@@ -452,8 +335,14 @@ fn run_fused_step(
                 });
             }
             let mut off = 0usize;
-            for seg in pair.segments.iter().filter(|s| eff[s.unit]) {
-                scratch.packed[seg.stmt][seg.term][seg.dst_off..seg.dst_off + seg.len]
+            let whole = scratch.eff_elems[k] == pair.elements;
+            let (mut stmt, mut bufs): (usize, &mut [Vec<f64>]) = (usize::MAX, &mut []);
+            for seg in pair.segments.iter().filter(|s| whole || eff[s.unit]) {
+                if seg.stmt != stmt {
+                    stmt = seg.stmt;
+                    bufs = &mut scratch.packed[stmt];
+                }
+                bufs[seg.term][seg.dst_off..seg.dst_off + seg.len]
                     .copy_from_slice(&data[off..off + seg.len]);
                 off += seg.len;
             }
@@ -479,11 +368,9 @@ fn run_fused_step(
 }
 
 fn worker_loop(ctx: WorkerCtx, cmds: Receiver<Cmd>, done: Sender<Done>) {
-    // per-worker packed operand buffers, reused across supersteps
-    let mut packed: Vec<Vec<f64>> = Vec::new();
-    let mut fused = FusedScratch::default();
-    while let Ok(cmd) = cmds.recv() {
-        let step = cmd.step();
+    // per-worker packed operand buffers, reused across timesteps
+    let mut scratch = FusedScratch::default();
+    while let Ok(Cmd { plan, eff, eff_version, mut shards, step }) = cmds.recv() {
         if let Some(sw) = &ctx.faults {
             if sw.kill(ctx.me as u32, step) {
                 // injected crash: die silently, taking the shards just
@@ -496,26 +383,12 @@ fn worker_loop(ctx: WorkerCtx, cmds: Receiver<Cmd>, done: Sender<Done>) {
             }
         }
         let mut compute_ns = 0u64;
-        let result = match cmd {
-            Cmd::Step(Step { plan, mut shards, step }) => {
-                match run_unfused_step(
-                    &ctx, step, &plan, &mut shards, &mut packed, &mut compute_ns,
-                ) {
-                    Ok(true) => Ok(shards),
-                    Ok(false) => return, // shutdown mid-superstep: no Done
-                    Err(e) => Err(e),
-                }
-            }
-            Cmd::Fused(FusedStep { plan, eff, eff_version, mut shards, step }) => {
-                match run_fused_step(
-                    &ctx, step, &plan, &eff, eff_version, &mut shards, &mut fused,
-                    &mut compute_ns,
-                ) {
-                    Ok(true) => Ok(shards),
-                    Ok(false) => return,
-                    Err(e) => Err(e),
-                }
-            }
+        let result = match run_fused_step(
+            &ctx, step, &plan, &eff, eff_version, &mut shards, &mut scratch, &mut compute_ns,
+        ) {
+            Ok(true) => Ok(shards),
+            Ok(false) => return, // shutdown mid-timestep: no Done
+            Err(e) => Err(e),
         };
         let failed = result.is_err();
         if done.send(Done { proc: ctx.me, result, compute_ns }).is_err() || failed {
@@ -657,54 +530,6 @@ impl ChannelsBackend {
         self.workers_spawned += np as u64;
     }
 
-    /// Ensure a fleet of `np` workers is running and return the spawn
-    /// generation (cumulative workers spawned). The fused replay path
-    /// calls this *before* computing its effective-send mask: a changed
-    /// generation means the workers' persistent packed buffers are gone
-    /// (processor-count change *or* post-failure respawn), so every ghost
-    /// unit must be re-sent (see [`crate::fuse::FusedState`]).
-    pub(crate) fn prepare(&mut self, np: usize) -> u64 {
-        self.ensure_workers(np);
-        self.workers_spawned
-    }
-
-    /// Execute one whole fused timestep across the worker fleet: hand
-    /// each worker its shards plus the shared effective-send mask,
-    /// collect the shards back, and account the masked wire traffic
-    /// (`wire_elements` is the mask's element count — sender-side
-    /// measured lengths are checked against it inside every worker).
-    /// Counts one step per timestep.
-    pub(crate) fn step_fused(
-        &mut self,
-        plan: &Arc<ProgramPlan>,
-        arrays: &mut [DistArray<f64>],
-        eff: Arc<Vec<bool>>,
-        eff_version: u64,
-        wire_elements: u64,
-    ) -> Result<(), ExchangeError> {
-        assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
-        let np = plan.np();
-        self.ensure_workers(np);
-        let step = self.steps;
-        for (p, cmd) in self.cmd_txs.iter().enumerate() {
-            let shards: Vec<Vec<f64>> =
-                arrays.iter_mut().map(|a| a.take_local(p)).collect();
-            // a send can only fail if the worker already died; the
-            // completion scan below pins and reports the death
-            let _ = cmd.send(Cmd::Fused(FusedStep {
-                plan: plan.clone(),
-                eff: eff.clone(),
-                eff_version,
-                shards,
-                step,
-            }));
-        }
-        self.collect_done(arrays, np)?;
-        self.bytes_sent += wire_elements * std::mem::size_of::<f64>() as u64;
-        self.steps += 1;
-        Ok(())
-    }
-
     /// Collect `np` completed work orders and reinstall their shards.
     ///
     /// On the first sign of failure — a worker-reported [`ExchangeError`],
@@ -835,29 +660,44 @@ impl ExchangeBackend for ChannelsBackend {
         "channels"
     }
 
-    /// One SPMD superstep. The [`PlanWorkspace`] is unused — each worker
-    /// keeps its own packed operand buffers — but accepted so backends are
-    /// interchangeable behind the trait.
+    /// One timestep across the worker fleet: ensure a fleet of the plan's
+    /// processor count, open the timestep with the fleet's spawn
+    /// generation (a changed generation means the workers' persistent
+    /// packed buffers are gone — processor-count change *or* post-failure
+    /// respawn — so every ghost unit re-ships), hand each worker its
+    /// shards plus the shared effective-send mask, collect the shards
+    /// back, and account the masked wire traffic (sender-side measured
+    /// lengths are checked against the mask inside every worker). The
+    /// [`FusedWorkspace`] is unused — each worker keeps its own packed
+    /// operand buffers. Counts one step per call.
     fn step(
         &mut self,
-        plan: &Arc<ExecPlan>,
+        plan: &Arc<ProgramPlan>,
         arrays: &mut [DistArray<f64>],
-        _ws: &mut PlanWorkspace,
+        state: &mut FusedState,
+        _ws: &mut FusedWorkspace,
     ) -> Result<(), ExchangeError> {
         assert!(plan.is_valid_for(arrays), "stale plan: an involved array was remapped");
-        let np = plan.per_proc().len();
+        let np = plan.np();
         self.ensure_workers(np);
+        state.begin_timestep(plan, arrays, BufferDomain::Channels(self.workers_spawned));
         let step = self.steps;
         // ownership handoff: every worker gets exactly its own shards
         for (p, cmd) in self.cmd_txs.iter().enumerate() {
             let shards: Vec<Vec<f64>> =
                 arrays.iter_mut().map(|a| a.take_local(p)).collect();
-            let _ = cmd.send(Cmd::Step(Step { plan: plan.clone(), shards, step }));
+            // a send can only fail if the worker already died; the
+            // completion scan below pins and reports the death
+            let _ = cmd.send(Cmd {
+                plan: plan.clone(),
+                eff: state.eff_arc(),
+                eff_version: state.eff_version(),
+                shards,
+                step,
+            });
         }
         self.collect_done(arrays, np)?;
-        // schedule ≡ analysis was already cross-checked at inspect time
-        // (ExecPlan::inspect); the wire accounting here is the schedule's
-        self.bytes_sent += plan.message_plan().wire_bytes();
+        self.bytes_sent += state.last_sent() * std::mem::size_of::<f64>() as u64;
         self.steps += 1;
         Ok(())
     }
@@ -888,8 +728,9 @@ impl ExchangeBackend for ChannelsBackend {
 mod tests {
     use super::*;
     use crate::assign::{Assignment, Combine, Term};
+    use crate::cache::PlanCache;
     use crate::exec::dense_reference;
-    use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
+    use hpf_core::{DataSpace, DistributeSpec, FormatSpec, HpfError};
     use hpf_index::{span, IndexDomain, Section};
 
     fn setup(n: usize, np: usize, fmts: &[FormatSpec]) -> Vec<DistArray<f64>> {
@@ -921,18 +762,29 @@ mod tests {
         .unwrap()
     }
 
+    /// One per-statement timestep of `stmt` on `backend`, through the
+    /// plan cache (every ghost ships, as the frozen schedule says).
+    fn step(
+        cache: &mut PlanCache,
+        arrays: &mut [DistArray<f64>],
+        stmt: &Assignment,
+        backend: &mut ChannelsBackend,
+    ) -> Result<(), HpfError> {
+        cache.step(arrays, std::slice::from_ref(stmt), false, backend)
+    }
+
     #[test]
     fn channels_matches_reference_and_counts_bytes() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
         let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let mut cache = PlanCache::new();
+        let wire = cache.plan_for(&arrays, &stmt).unwrap().message_plan().wire_bytes();
         let mut backend = ChannelsBackend::new();
-        for step in 1..=4u64 {
+        for step_no in 1..=4u64 {
             let expect = dense_reference(&arrays, &stmt);
-            backend.step(&plan, &mut arrays, &mut ws).unwrap();
-            assert_eq!(arrays[0].to_dense(), expect, "step {step}");
-            assert_eq!(backend.bytes_sent(), step * plan.message_plan().wire_bytes());
+            step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap();
+            assert_eq!(arrays[0].to_dense(), expect, "step {step_no}");
+            assert_eq!(backend.bytes_sent(), step_no * wire);
         }
         assert_eq!(backend.steps(), 4);
         assert_eq!(backend.workers(), 4);
@@ -942,22 +794,22 @@ mod tests {
     #[test]
     fn different_processor_count_respawns_fleet() {
         let mut backend = ChannelsBackend::new();
-        let mut ws = PlanWorkspace::new();
+        let (mut c4, mut c3) = (PlanCache::new(), PlanCache::new());
         let mut a4 = setup(32, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let s4 = shift_stmt(32, &a4);
-        let p4 = Arc::new(ExecPlan::inspect(&a4, &s4).unwrap());
-        backend.step(&p4, &mut a4, &mut ws).unwrap();
+        step(&mut c4, &mut a4, &s4, &mut backend).unwrap();
         assert_eq!(backend.workers(), 4);
         let mut a3 = setup(32, 3, &[FormatSpec::Cyclic(1), FormatSpec::Block]);
         let s3 = shift_stmt(32, &a3);
-        let p3 = Arc::new(ExecPlan::inspect(&a3, &s3).unwrap());
         let expect = dense_reference(&a3, &s3);
-        backend.step(&p3, &mut a3, &mut ws).unwrap();
+        step(&mut c3, &mut a3, &s3, &mut backend).unwrap();
         assert_eq!(a3[0].to_dense(), expect);
         assert_eq!(backend.workers(), 3);
         assert_eq!(backend.workers_spawned(), 7, "4 then 3");
         // and back on the first plan the fleet respawns again
-        backend.step(&p4, &mut a4, &mut ws).unwrap();
+        let expect = dense_reference(&a4, &s4);
+        step(&mut c4, &mut a4, &s4, &mut backend).unwrap();
+        assert_eq!(a4[0].to_dense(), expect);
         assert_eq!(backend.workers_spawned(), 11);
     }
 
@@ -975,11 +827,8 @@ mod tests {
             &doms,
         )
         .unwrap();
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
         let expect = dense_reference(&arrays, &stmt);
-        ChannelsBackend::new()
-            .step(&plan, &mut arrays, &mut PlanWorkspace::new())
-            .unwrap();
+        step(&mut PlanCache::new(), &mut arrays, &stmt, &mut ChannelsBackend::new()).unwrap();
         assert_eq!(arrays[0].to_dense(), expect);
     }
 
@@ -991,23 +840,22 @@ mod tests {
     fn injected_kill_surfaces_typed_error_and_replay_recovers() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let mut cache = PlanCache::new();
         let mut backend = ChannelsBackend::new();
         backend.inject(FaultPlan::parse("kill:rank=3,step=1").unwrap());
-        backend.step(&plan, &mut arrays, &mut ws).unwrap(); // step 0
+        step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap(); // step 0
         let ckpt = arrays.clone(); // stand-in for a real checkpoint
         let expect = dense_reference(&arrays, &stmt);
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(err, ExchangeError::WorkerDied { rank: 3, step: 1 });
-        assert_eq!(err.rank(), Some(3));
+        let err = step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap_err();
+        assert_eq!(err, ExchangeError::WorkerDied { rank: 3, step: 1 }.into());
+        assert!(matches!(err, HpfError::Exchange { rank: Some(3), .. }));
         assert_eq!(backend.workers(), 0, "failed fleet must be torn down");
         assert_eq!(backend.steps(), 1, "a failed superstep never happened");
         assert_eq!(backend.faults_fired(), 1);
         // recovery: restore shards, replay — the one-shot fault is spent,
         // the fleet respawns on its own, and the answer matches
         arrays = ckpt;
-        backend.step(&plan, &mut arrays, &mut ws).unwrap();
+        step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap();
         assert_eq!(arrays[0].to_dense(), expect);
         assert_eq!(backend.workers(), 4);
         assert_eq!(backend.workers_spawned(), 8, "one respawn after the kill");
@@ -1018,14 +866,12 @@ mod tests {
     fn injected_drop_wedges_and_times_out() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
         let mut backend = ChannelsBackend::new();
         backend.set_step_timeout(Duration::from_millis(300));
         backend.inject(FaultPlan::parse("drop:from=2,to=3,step=0").unwrap());
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(err, ExchangeError::Wedged { step: 0, waited_ms: 300 });
-        assert_eq!(err.rank(), None, "a lost message pins no rank");
+        let err = step(&mut PlanCache::new(), &mut arrays, &stmt, &mut backend).unwrap_err();
+        assert_eq!(err, ExchangeError::Wedged { step: 0, waited_ms: 300 }.into());
+        assert!(matches!(err, HpfError::Exchange { rank: None, .. }), "a lost message pins no rank");
         assert_eq!(backend.workers(), 0);
     }
 
@@ -1033,12 +879,12 @@ mod tests {
     fn injected_corruption_is_detected_before_unpacking() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
+        let mut cache = PlanCache::new();
+        let plan = cache.plan_for(&arrays, &stmt).unwrap();
         let expected = plan.message_plan().pair(1, 2).unwrap().elements;
-        let mut ws = PlanWorkspace::new();
         let mut backend = ChannelsBackend::new();
         backend.inject(FaultPlan::parse("corrupt:from=1,to=2,step=0").unwrap());
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
+        let err = step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap_err();
         assert_eq!(
             err,
             ExchangeError::CorruptMessage {
@@ -1048,20 +894,22 @@ mod tests {
                 got: expected - 1,
                 expected,
             }
+            .into()
         );
-        assert_eq!(err.rank(), Some(2), "corruption is pinned to the receiver");
+        assert!(
+            matches!(err, HpfError::Exchange { rank: Some(2), .. }),
+            "corruption is pinned to the receiver"
+        );
     }
 
     #[test]
     fn injected_delay_and_pool_poison_do_not_fail_the_step() {
         // a delayed message is a slow link, and a poisoned pool lock is
         // recovered via into_inner — both steps must still complete and
-        // match the reference (the poison recovery is satellite #1: one
-        // fault stays one fault)
+        // match the reference (one fault stays one fault)
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
         let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let mut cache = PlanCache::new();
         let mut backend = ChannelsBackend::new();
         backend.inject(
             FaultPlan::parse("delay:from=0,to=1,step=0,ms=30; poison:rank=2,step=1")
@@ -1069,11 +917,114 @@ mod tests {
         );
         for _ in 0..3 {
             let expect = dense_reference(&arrays, &stmt);
-            backend.step(&plan, &mut arrays, &mut ws).unwrap();
+            step(&mut cache, &mut arrays, &stmt, &mut backend).unwrap();
             assert_eq!(arrays[0].to_dense(), expect);
         }
         assert_eq!(backend.steps(), 3);
         assert_eq!(backend.faults_fired(), 2);
         assert_eq!(backend.workers_spawned(), 4, "no respawn: nothing failed");
+    }
+
+    fn arrays_2d(n: usize, np_side: usize) -> Vec<DistArray<f64>> {
+        let np = np_side * np_side;
+        let mut ds = DataSpace::new(np);
+        ds.declare_processors("G", IndexDomain::of_shape(&[np_side, np_side]).unwrap())
+            .unwrap();
+        let mut out = Vec::new();
+        for name in ["P", "U"] {
+            let id = ds.declare(name, IndexDomain::of_shape(&[n, n]).unwrap()).unwrap();
+            ds.distribute(
+                id,
+                &DistributeSpec::to(vec![FormatSpec::Block, FormatSpec::Block], "G"),
+            )
+            .unwrap();
+            out.push(DistArray::from_fn(name, ds.effective(id).unwrap(), np, |i| {
+                (i[0] * 1000 + i[1]) as f64
+            }));
+        }
+        out
+    }
+
+    #[test]
+    fn parallel_matches_sequential_1d() {
+        let build = || {
+            let mut ds = DataSpace::new(4);
+            let a = ds.declare("A", IndexDomain::of_shape(&[64]).unwrap()).unwrap();
+            let b = ds.declare("B", IndexDomain::of_shape(&[64]).unwrap()).unwrap();
+            ds.distribute(a, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
+            ds.distribute(b, &DistributeSpec::new(vec![FormatSpec::Cyclic(3)])).unwrap();
+            vec![
+                DistArray::from_fn("A", ds.effective(a).unwrap(), 4, |i| i[0] as f64),
+                DistArray::from_fn("B", ds.effective(b).unwrap(), 4, |i| (i[0] * 7) as f64),
+            ]
+        };
+        let mut seq = build();
+        let mut par = build();
+        let doms: Vec<&IndexDomain> = seq.iter().map(|a| a.domain()).collect();
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(1, 32)]),
+            vec![
+                Term::new(1, Section::from_triplets(vec![hpf_index::triplet(2, 64, 2)])),
+                Term::new(0, Section::from_triplets(vec![span(33, 64)])),
+            ],
+            Combine::Sum,
+            &doms,
+        )
+        .unwrap();
+        let analysis = crate::SeqExecutor.execute(&mut seq, &stmt).unwrap();
+        let mut cache = PlanCache::new();
+        step(&mut cache, &mut par, &stmt, &mut ChannelsBackend::new()).unwrap();
+        assert_eq!(seq[0].to_dense(), par[0].to_dense());
+        assert_eq!(analysis.comm, cache.plan_for(&par, &stmt).unwrap().analysis().comm);
+    }
+
+    #[test]
+    fn parallel_matches_reference_2d_stencil() {
+        let n = 16;
+        let mut arrays = arrays_2d(n, 2);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        // P(2:N-1, 2:N-1) = U(1:N-2, 2:N-1) + U(3:N, 2:N-1)
+        let ni = n as i64;
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, ni - 1), span(2, ni - 1)]),
+            vec![
+                Term::new(1, Section::from_triplets(vec![span(1, ni - 2), span(2, ni - 1)])),
+                Term::new(1, Section::from_triplets(vec![span(3, ni), span(2, ni - 1)])),
+            ],
+            Combine::Sum,
+            &doms,
+        )
+        .unwrap();
+        let expect = dense_reference(&arrays, &stmt);
+        step(&mut PlanCache::new(), &mut arrays, &stmt, &mut ChannelsBackend::new()).unwrap();
+        assert_eq!(arrays[0].to_dense(), expect);
+    }
+
+    #[test]
+    fn parallel_plan_replay_matches_seq_replay() {
+        let mut seq = arrays_2d(12, 2);
+        let mut par = arrays_2d(12, 2);
+        let doms: Vec<&IndexDomain> = seq.iter().map(|a| a.domain()).collect();
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, 11), span(1, 12)]),
+            vec![
+                Term::new(1, Section::from_triplets(vec![span(1, 10), span(1, 12)])),
+                Term::new(1, Section::from_triplets(vec![span(3, 12), span(1, 12)])),
+            ],
+            Combine::Average,
+            &doms,
+        )
+        .unwrap();
+        let plan_seq = crate::ExecPlan::inspect(&seq, &stmt).unwrap();
+        let mut cache = PlanCache::new();
+        let mut backend = ChannelsBackend::new();
+        for _ in 0..3 {
+            plan_seq.execute_seq(&mut seq);
+            step(&mut cache, &mut par, &stmt, &mut backend).unwrap();
+        }
+        assert_eq!(seq[0].to_dense(), par[0].to_dense());
     }
 }

@@ -3,30 +3,26 @@
 //! A [`PlanWorkspace`] owns the per-processor, per-term packed operand
 //! buffers a plan replay fills during its pack phase. Building one costs
 //! the allocations once; every subsequent
-//! [`ExecPlan::execute_seq_with`](crate::ExecPlan::execute_seq_with) /
-//! [`ExecPlan::execute_par_with`](crate::ExecPlan::execute_par_with)
+//! [`ExecPlan::execute_seq_with`](crate::ExecPlan::execute_seq_with)
 //! against the same plan reuses the buffers, so a **warm replay performs
-//! zero heap allocations** (asserted by the `zero_alloc_replay`
+//! zero heap allocations**. A [`FusedWorkspace`] does the same for a whole
+//! [`ProgramPlan`]: one `PlanWorkspace` per statement plus the message
+//! staging buffers (asserted allocation-free by the `zero_alloc_replay`
 //! integration test with a counting global allocator).
 //!
-//! [`crate::PlanCache`] keeps one workspace per cached plan, which is how
-//! [`crate::Program::run`] gets allocation-free timesteps without callers
-//! managing workspaces themselves.
+//! [`crate::PlanCache`] keeps one `FusedWorkspace` per compiled program
+//! plan, which is how a [`crate::Session`] gets allocation-free timesteps
+//! without callers managing workspaces themselves.
 
 use crate::fuse::ProgramPlan;
 use crate::plan::ExecPlan;
 
 /// Preallocated pack buffers for one [`ExecPlan`]: `bufs[p][t]` is the
 /// packed operand buffer of simulated processor `p` for RHS term `t`,
-/// sized to exactly the processor's computed volume. `stage[k]` is the
-/// persistent message staging buffer for the plan's `k`-th communicating
-/// processor pair (in [`MessagePlan`](crate::MessagePlan) order), sized
-/// to exactly that pair's message length — the shared-memory backend's
-/// send/recv buffer.
+/// sized to exactly the processor's computed volume.
 #[derive(Debug, Clone, Default)]
 pub struct PlanWorkspace {
     pub(crate) bufs: Vec<Vec<Vec<f64>>>,
-    pub(crate) stage: Vec<Vec<f64>>,
 }
 
 impl PlanWorkspace {
@@ -48,14 +44,11 @@ impl PlanWorkspace {
     /// needs (in which case a replay reuses them without allocating).
     pub fn matches(&self, plan: &ExecPlan) -> bool {
         let per_proc = plan.per_proc();
-        let pairs = plan.message_plan().pairs();
         self.bufs.len() == per_proc.len()
             && self.bufs.iter().zip(per_proc).all(|(bufs, pp)| {
                 bufs.len() == pp.terms.len()
                     && bufs.iter().zip(&pp.terms).all(|(b, ts)| b.len() == ts.elements)
             })
-            && self.stage.len() == pairs.len()
-            && self.stage.iter().zip(pairs).all(|(s, p)| s.len() == p.elements)
     }
 
     /// Resize for `plan` if the shape differs (the only point where a
@@ -69,25 +62,12 @@ impl PlanWorkspace {
             .iter()
             .map(|pp| pp.terms.iter().map(|ts| vec![0.0f64; ts.elements]).collect())
             .collect();
-        self.stage = plan
-            .message_plan()
-            .pairs()
-            .iter()
-            .map(|p| vec![0.0f64; p.elements])
-            .collect();
     }
 
     /// Total `f64` elements held across all pack buffers (the workspace's
-    /// memory footprint in elements, excluding the message staging
-    /// buffers — see [`PlanWorkspace::stage_elements`]).
+    /// memory footprint in elements).
     pub fn buffer_elements(&self) -> usize {
         self.bufs.iter().flatten().map(Vec::len).sum()
-    }
-
-    /// Total `f64` elements held across the per-pair message staging
-    /// buffers (= the plan's wire traffic per replay).
-    pub fn stage_elements(&self) -> usize {
-        self.stage.iter().map(Vec::len).sum()
     }
 }
 
@@ -102,11 +82,6 @@ impl PlanWorkspace {
 pub struct FusedWorkspace {
     pub(crate) per_stmt: Vec<PlanWorkspace>,
     pub(crate) stage: Vec<Vec<f64>>,
-    /// Measured wall-nanoseconds each simulated processor spent in compute
-    /// kernels during the last fused replay through this workspace —
-    /// the adaptive controller's per-rank load sample. Preallocated here so
-    /// sampling never costs the warm path an allocation.
-    pub(crate) rank_ns: Vec<u64>,
 }
 
 impl FusedWorkspace {
@@ -130,7 +105,6 @@ impl FusedWorkspace {
             && self.per_stmt.iter().zip(plan.plans()).all(|(ws, p)| ws.matches(p))
             && self.stage.len() == plan.pairs().len()
             && self.stage.iter().zip(plan.pairs()).all(|(s, p)| s.len() == p.elements)
-            && self.rank_ns.len() == plan.np()
     }
 
     /// Resize for `plan` if the shape differs (the only point where a
@@ -141,7 +115,6 @@ impl FusedWorkspace {
         }
         self.per_stmt = plan.plans().iter().map(|p| PlanWorkspace::for_plan(p)).collect();
         self.stage = plan.pairs().iter().map(|p| vec![0.0f64; p.elements]).collect();
-        self.rank_ns = vec![0u64; plan.np()];
     }
 
     /// Total `f64` elements held across every statement's pack buffers.

@@ -144,7 +144,7 @@ impl Bencher {
     }
 }
 
-fn run_one(label: &str, smoke: bool, budget: Duration, f: &mut dyn FnMut(&mut Bencher)) {
+fn run_bench(label: &str, smoke: bool, budget: Duration, f: &mut dyn FnMut(&mut Bencher)) {
     let mut b = Bencher { budget, smoke, result: None };
     f(&mut b);
     match b.result {
@@ -192,7 +192,7 @@ impl Criterion {
         N: IntoBenchmarkId,
         F: FnMut(&mut Bencher),
     {
-        run_one(&id.into_id(), self.smoke, self.budget, &mut f);
+        run_bench(&id.into_id(), self.smoke, self.budget, &mut f);
         self
     }
 
@@ -235,7 +235,7 @@ impl<'a> BenchmarkGroup<'a> {
         F: FnMut(&mut Bencher),
     {
         let label = format!("{}/{}", self.name, id.into_id());
-        run_one(&label, self.smoke, self.budget, &mut f);
+        run_bench(&label, self.smoke, self.budget, &mut f);
         self
     }
 
@@ -246,7 +246,7 @@ impl<'a> BenchmarkGroup<'a> {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id.into_id());
-        run_one(&label, self.smoke, self.budget, &mut |b| f(b, input));
+        run_bench(&label, self.smoke, self.budget, &mut |b| f(b, input));
         self
     }
 

@@ -12,50 +12,12 @@
 //! schedule fails to ship would be read as stale/zero data and break the
 //! equality with the oracle.
 
+mod support;
+
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Random GENERAL_BLOCK sizes: `np` non-negative lengths summing to `n`.
-fn gb_sizes(n: usize, np: usize, seed: u64) -> Vec<i64> {
-    use rand::{RngExt, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cuts: Vec<i64> = (0..np.saturating_sub(1))
-        .map(|_| rng.random_range(0..=n as u64) as i64)
-        .collect();
-    cuts.sort_unstable();
-    cuts.push(n as i64);
-    let mut prev = 0i64;
-    cuts.into_iter()
-        .map(|c| {
-            let s = c - prev;
-            prev = c;
-            s
-        })
-        .collect()
-}
-
-/// One of the paper's mapping families, selected by `kind` (kind % 6 == 5
-/// is full replication — the only non-partitioning family).
-fn mapping_of(kind: u8, n: usize, np: usize, seed: u64) -> Arc<EffectiveDist> {
-    if kind % 6 == 5 {
-        return Arc::new(EffectiveDist::Replicated {
-            domain: IndexDomain::of_shape(&[n]).unwrap(),
-            procs: ProcSet::all(np),
-        });
-    }
-    let fmt = match kind % 6 {
-        0 => FormatSpec::Block,
-        1 => FormatSpec::BlockBalanced,
-        2 => FormatSpec::Cyclic(1),
-        3 => FormatSpec::Cyclic(3),
-        _ => FormatSpec::GeneralBlockSizes(gb_sizes(n, np, seed)),
-    };
-    let mut ds = DataSpace::new(np);
-    let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
-    ds.distribute(a, &DistributeSpec::new(vec![fmt])).unwrap();
-    ds.effective(a).unwrap()
-}
+use support::{gb_sizes, mapping_of, run_statement};
 
 fn build_arrays(n: usize, np: usize, ka: u8, kb: u8, seed: u64) -> Vec<DistArray<f64>> {
     vec![
@@ -148,18 +110,15 @@ fn assert_backends_agree(
     stmt: &Assignment,
     partitioned: bool,
 ) {
-    // clones share the mapping allocations, so one plan drives all three
+    // clones share the mapping allocations, so every path runs the same
+    // schedule
+    let shared_prog = run_statement(arrays.clone(), stmt, Backend::SharedMem);
+    let channels_prog = run_statement(arrays.clone(), stmt, Backend::Channels);
+    let (shared, channels) = (&shared_prog.arrays, &channels_prog.arrays);
     let mut direct = arrays;
-    let mut shared = direct.clone();
-    let mut channels = direct.clone();
-    let plan = Arc::new(ExecPlan::inspect(&direct, stmt).unwrap());
+    let plan = ExecPlan::inspect(&direct, stmt).unwrap();
     let expect = dense_reference(&direct, stmt);
-
     plan.execute_seq(&mut direct);
-    let mut shared_be = SharedMemBackend::new();
-    shared_be.step(&plan, &mut shared, &mut PlanWorkspace::new()).unwrap();
-    let mut channels_be = ChannelsBackend::new();
-    channels_be.step(&plan, &mut channels, &mut PlanWorkspace::new()).unwrap();
 
     assert_eq!(direct[0].to_dense(), expect, "direct replay ≡ oracle");
     assert_eq!(shared[0].to_dense(), expect, "SharedMem ≡ oracle");
@@ -168,8 +127,8 @@ fn assert_backends_agree(
 
     // bytes on the wire: measured == frozen message schedule, always
     let msgs = plan.message_plan();
-    assert_eq!(shared_be.bytes_sent(), msgs.wire_bytes());
-    assert_eq!(channels_be.bytes_sent(), msgs.wire_bytes());
+    assert_eq!(shared_prog.backend_bytes_sent(), msgs.wire_bytes());
+    assert_eq!(channels_prog.backend_bytes_sent(), msgs.wire_bytes());
     if partitioned {
         // ... and exactly the frozen CommAnalysis for partitioning
         // mappings, down to each (sender, receiver) entry

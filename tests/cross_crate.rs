@@ -1,6 +1,8 @@
 //! Full-pipeline integration: directive source → frontend elaboration →
 //! core mappings → runtime execution → machine cost model.
 
+mod support;
+
 use hpf::prelude::*;
 use std::sync::Arc;
 
@@ -67,7 +69,8 @@ fn staggered_program_through_all_crates() {
     assert!(trace.report.compute_time > 0.0);
 }
 
-/// The same pipeline with the parallel executor, checking bit-equality.
+/// The same pipeline on the parallel `Channels` SPMD executor, checking
+/// bit-equality.
 #[test]
 fn parallel_executor_through_pipeline() {
     let src = r#"
@@ -101,11 +104,10 @@ fn parallel_executor_through_pipeline() {
     )
     .unwrap();
     let mut seq = build();
-    let mut par = build();
     let s1 = SeqExecutor.execute(&mut seq, &stmt).unwrap();
-    let s2 = ParExecutor::with_threads(4).execute(&mut par, &stmt).unwrap();
-    assert_eq!(seq[0].to_dense(), par[0].to_dense());
-    assert_eq!(s1.comm, s2.comm);
+    let par = support::run_statement(build(), &stmt, Backend::Channels);
+    assert_eq!(seq[0].to_dense(), par.arrays[0].to_dense());
+    assert_eq!(s1.comm, par.last_analyses()[0].comm);
     // mismatched distributions → substantial traffic
     assert!(s1.remote_reads > 0);
 }

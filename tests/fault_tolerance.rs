@@ -22,10 +22,13 @@
 //!   adapted layout through the restore, and the result still matches
 //!   the uninterrupted static run bit-for-bit.
 
+mod support;
+
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
+use support::mapping_of;
 
 /// Unique temp directory per test (removed on success).
 fn tmpdir(tag: &str) -> PathBuf {
@@ -36,30 +39,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// One of the paper's 1-D mapping families over `[n]` on `np` procs.
-fn mapping_of(kind: u8, n: usize, np: usize) -> std::sync::Arc<EffectiveDist> {
-    if kind % 5 == 4 {
-        return std::sync::Arc::new(EffectiveDist::Replicated {
-            domain: IndexDomain::of_shape(&[n]).unwrap(),
-            procs: ProcSet::all(np),
-        });
-    }
-    let fmt = match kind % 5 {
-        0 => FormatSpec::Block,
-        1 => FormatSpec::BlockBalanced,
-        2 => FormatSpec::Cyclic(1),
-        _ => FormatSpec::Cyclic(3),
-    };
-    let mut ds = DataSpace::new(np);
-    let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
-    ds.distribute(a, &DistributeSpec::new(vec![fmt])).unwrap();
-    ds.effective(a).unwrap()
-}
-
 fn arrays_with(kinds: (u8, u8), n: usize, np: usize, init: impl Fn(i64, i64) -> f64) -> Vec<DistArray<f64>> {
     vec![
-        DistArray::from_fn("A", mapping_of(kinds.0, n, np), np, |i| init(i[0], 0)),
-        DistArray::from_fn("B", mapping_of(kinds.1, n, np), np, |i| init(i[0], 1)),
+        DistArray::from_fn("A", mapping_of(kinds.0, n, np, 0x5eed), np, |i| init(i[0], 0)),
+        DistArray::from_fn("B", mapping_of(kinds.1, n, np, 0xb10c), np, |i| init(i[0], 1)),
     ]
 }
 
@@ -103,10 +86,10 @@ proptest! {
     /// source and target layouts coincide the fast path must be taken.
     #[test]
     fn checkpoint_restores_across_any_mapping_change(
-        ka in 0u8..5,
-        kb in 0u8..5,
-        ka2 in 0u8..5,
-        kb2 in 0u8..5,
+        ka in 0u8..6,
+        kb in 0u8..6,
+        ka2 in 0u8..6,
+        kb2 in 0u8..6,
         np_src in 2usize..6,
         np_dst in 2usize..6,
     ) {
@@ -137,8 +120,8 @@ proptest! {
     /// either backend.
     #[test]
     fn trajectory_checkpoints_are_consistent_snapshots(
-        ka in 0u8..4,
-        kb in 0u8..4,
+        ka in 0u8..5,
+        kb in 0u8..5,
         backend_k in 0u8..2,
         steps in 1u64..4,
     ) {
@@ -192,6 +175,37 @@ fn two_dim_checkpoint_scatters_across_process_grids() {
     let restored = restore_checkpoint(&mut dst, &rep.dir).unwrap();
     assert_eq!((restored.fast, restored.remapped, restored.elements), (0, 1, 120));
     assert_eq!(dst[0].to_dense(), want, "2-D cross-grid restore is exact");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The per-statement timestep runs on the backend it is given, faults
+/// included: a kill injected into a `fused(false)` `Channels` session is
+/// survived by the same restore-and-replay loop, and the result equals an
+/// uninterrupted fused `SharedMem` run bit-for-bit. Unfused steps count
+/// one backend step per statement, so step 3 is the second statement of
+/// timestep 1.
+#[test]
+fn per_statement_channels_run_recovers_from_injected_kill() {
+    let dir = tmpdir("kill-unfused");
+    let steps = 4u64;
+    let mut reference = Session::new(build_program((1, 2), 37, 4));
+    reference.run(steps).unwrap();
+
+    let mut sess = Session::new(build_program((1, 2), 37, 4))
+        .backend(Backend::Channels)
+        .fused(false)
+        .checkpoint(CheckpointSpec::new(&dir, 1))
+        .inject_faults(FaultPlan::new().with(Fault::KillWorker { rank: 1, step: 3 }));
+    let rep = sess.run(steps).unwrap();
+    assert_eq!(rep.timesteps, steps);
+    assert_eq!(rep.failures, 1, "exactly the injected kill");
+    assert_eq!(rep.final_backend, Backend::Channels);
+    let prog = sess.into_program();
+    assert_eq!(prog.faults_fired(), 1);
+    assert_eq!(prog.spmd_workers_spawned(), 8, "one respawn after the kill");
+    for (a, b) in prog.arrays.iter().zip(&reference.program().arrays) {
+        assert_eq!(a.to_dense(), b.to_dense(), "{} diverged", a.name());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

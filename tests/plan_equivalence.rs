@@ -1,14 +1,17 @@
 //! Property tests for the compiled-plan runtime: plan-based sequential and
-//! parallel execution are bit-identical to the naive element-wise reference
+//! message-passing execution are bit-identical to the naive element-wise reference
 //! executor across random block / cyclic / general-block / replicated
 //! mappings in 1-D and 2-D, the run-length compressed schedules expand to
 //! exactly the uncompressed per-element `(src, offset)` sequences, and a
 //! cached plan replay equals a freshly inspected one — including across a
 //! remap invalidation.
 
+mod support;
+
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::{gb_sizes, mapping_of, run_statement};
 
 /// Independently recompute the *uncompressed* gather sequence of processor
 /// `p` for term `t`: walk the LHS owner's region rects in local-buffer
@@ -87,46 +90,6 @@ fn assert_schedule_expands_exactly(arrays: &[DistArray<f64>], stmt: &Assignment,
             assert_eq!(k, ts.elements);
         }
     }
-}
-
-/// Random GENERAL_BLOCK sizes: `np` non-negative lengths summing to `n`.
-fn gb_sizes(n: usize, np: usize, seed: u64) -> Vec<i64> {
-    use rand::{RngExt, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cuts: Vec<i64> = (0..np.saturating_sub(1))
-        .map(|_| rng.random_range(0..=n as u64) as i64)
-        .collect();
-    cuts.sort_unstable();
-    cuts.push(n as i64);
-    let mut prev = 0i64;
-    cuts.into_iter()
-        .map(|c| {
-            let s = c - prev;
-            prev = c;
-            s
-        })
-        .collect()
-}
-
-/// One of the paper's mapping families, selected by `kind`.
-fn mapping_of(kind: u8, n: usize, np: usize, seed: u64) -> Arc<EffectiveDist> {
-    if kind % 6 == 5 {
-        return Arc::new(EffectiveDist::Replicated {
-            domain: IndexDomain::of_shape(&[n]).unwrap(),
-            procs: ProcSet::all(np),
-        });
-    }
-    let fmt = match kind % 6 {
-        0 => FormatSpec::Block,
-        1 => FormatSpec::BlockBalanced,
-        2 => FormatSpec::Cyclic(1),
-        3 => FormatSpec::Cyclic(3),
-        _ => FormatSpec::GeneralBlockSizes(gb_sizes(n, np, seed)),
-    };
-    let mut ds = DataSpace::new(np);
-    let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
-    ds.distribute(a, &DistributeSpec::new(vec![fmt])).unwrap();
-    ds.effective(a).unwrap()
 }
 
 fn build_arrays(n: usize, np: usize, ka: u8, kb: u8, seed: u64) -> Vec<DistArray<f64>> {
@@ -215,8 +178,9 @@ fn build_stmt(n: i64, combine_k: u8, arrays: &[DistArray<f64>]) -> Assignment {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Plan-based Seq and Par execution are bit-identical to the naive
-    /// element-wise reference, for every mapping family combination.
+    /// Plan-based sequential and message-passing (`Channels`) execution
+    /// are bit-identical to the naive element-wise reference, for every
+    /// mapping family combination.
     #[test]
     fn plan_execution_matches_naive_reference(
         n in 16usize..48,
@@ -224,15 +188,14 @@ proptest! {
         ka in 0u8..6,
         kb in 0u8..6,
         seed in 0u64..1000,
-        threads in 1usize..5,
         combine_k in 0u8..4,
     ) {
         let mut seq = build_arrays(n, np, ka, kb, seed);
-        let mut par = build_arrays(n, np, ka, kb, seed);
         let stmt = build_stmt(n as i64, combine_k, &seq);
+        let par =
+            run_statement(build_arrays(n, np, ka, kb, seed), &stmt, Backend::Channels).arrays;
         let expect = dense_reference(&seq, &stmt);
         SeqExecutor.execute(&mut seq, &stmt).unwrap();
-        ParExecutor::with_threads(threads).execute(&mut par, &stmt).unwrap();
         prop_assert_eq!(seq[0].to_dense(), expect);
         prop_assert_eq!(seq[0].to_dense(), par[0].to_dense());
         prop_assert_eq!(seq[1].to_dense(), par[1].to_dense());
@@ -261,8 +224,8 @@ proptest! {
         prop_assert_eq!(seq[0].to_dense(), expect);
     }
 
-    /// 2-D: compressed Seq and Par replay are bit-identical to the naive
-    /// reference over random per-dimension block / cyclic(k) /
+    /// 2-D: compressed sequential and `Channels` replay are bit-identical
+    /// to the naive reference over random per-dimension block / cyclic(k) /
     /// general-block formats and replicated mappings; the compressed
     /// schedules expand exactly; and for partitioning mappings the plan's
     /// ghost volume equals the frozen analysis's remote reads.
@@ -273,7 +236,6 @@ proptest! {
         ka in 0u8..17,
         kb in 0u8..17,
         seed in 0u64..1000,
-        threads in 1usize..6,
         combine_k in 0u8..4,
     ) {
         let np = np_side * np_side;
@@ -286,7 +248,6 @@ proptest! {
             }),
         ];
         let mut seq = mk();
-        let mut par = mk();
         let stmt = build_stmt_2d(n as i64, combine_k, &seq);
         let plan = ExecPlan::inspect(&seq, &stmt).unwrap();
         assert_schedule_expands_exactly(&seq, &stmt, &plan);
@@ -298,7 +259,7 @@ proptest! {
         }
         let expect = dense_reference(&seq, &stmt);
         SeqExecutor.execute(&mut seq, &stmt).unwrap();
-        ParExecutor::with_threads(threads).execute(&mut par, &stmt).unwrap();
+        let par = run_statement(mk(), &stmt, Backend::Channels).arrays;
         prop_assert_eq!(seq[0].to_dense(), expect);
         prop_assert_eq!(seq[0].to_dense(), par[0].to_dense());
         prop_assert_eq!(seq[1].to_dense(), par[1].to_dense());

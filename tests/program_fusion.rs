@@ -3,58 +3,21 @@
 //! same-pair messages coalesced, clean ghost units skipped — must stay
 //! bit-identical to the pre-fusion per-statement execution and to the
 //! dense naive oracle, over random block / cyclic(k) / general-block /
-//! replicated mappings, on every execution path (`SharedMem`, `Channels`
-//! SPMD workers, bounded-thread parallel), across warm timesteps and
-//! straight through a mid-trajectory `REDISTRIBUTE`.
+//! replicated mappings, on both exchange backends (`SharedMem` and the
+//! `Channels` SPMD workers), fused and per statement, across warm
+//! timesteps and straight through a mid-trajectory `REDISTRIBUTE`.
 //!
 //! The suite also pins the *safety net*: a fused plan whose coalesced
 //! schedule is corrupted — an element count that no longer conserves, a
 //! pack phase hoisted before a writer, a segment the constituents never
 //! shipped — is refuted by [`verify_program_plan`] before it can run.
 
+mod support;
+
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Random GENERAL_BLOCK sizes: `np` non-negative lengths summing to `n`.
-fn gb_sizes(n: usize, np: usize, seed: u64) -> Vec<i64> {
-    use rand::{RngExt, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cuts: Vec<i64> = (0..np.saturating_sub(1))
-        .map(|_| rng.random_range(0..=n as u64) as i64)
-        .collect();
-    cuts.sort_unstable();
-    cuts.push(n as i64);
-    let mut prev = 0i64;
-    cuts.into_iter()
-        .map(|c| {
-            let s = c - prev;
-            prev = c;
-            s
-        })
-        .collect()
-}
-
-/// One of the paper's mapping families (kind % 6 == 5 is replication).
-fn mapping_of(kind: u8, n: usize, np: usize, seed: u64) -> Arc<EffectiveDist> {
-    if kind % 6 == 5 {
-        return Arc::new(EffectiveDist::Replicated {
-            domain: IndexDomain::of_shape(&[n]).unwrap(),
-            procs: ProcSet::all(np),
-        });
-    }
-    let fmt = match kind % 6 {
-        0 => FormatSpec::Block,
-        1 => FormatSpec::BlockBalanced,
-        2 => FormatSpec::Cyclic(1),
-        3 => FormatSpec::Cyclic(3),
-        _ => FormatSpec::GeneralBlockSizes(gb_sizes(n, np, seed)),
-    };
-    let mut ds = DataSpace::new(np);
-    let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
-    ds.distribute(a, &DistributeSpec::new(vec![fmt])).unwrap();
-    ds.effective(a).unwrap()
-}
+use support::mapping_of;
 
 /// Three 1-D arrays over independently random mappings.
 fn build_arrays(n: usize, np: usize, kinds: [u8; 3], seed: u64) -> Vec<DistArray<f64>> {
@@ -126,8 +89,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fused ≡ per-statement ≡ dense oracle: random statement sequences
-    /// over random mapping triples, every fused execution path, several
-    /// warm timesteps.
+    /// over random mapping triples, both backends fused and per
+    /// statement, several warm timesteps.
     #[test]
     fn fused_paths_match_unfused_and_oracle(
         n in 16usize..40,
@@ -143,13 +106,12 @@ proptest! {
         let stmts: Vec<Assignment> =
             shapes.iter().map(|&s| build_stmt(s, n as i64, &arrays)).collect();
         let mut oracle = arrays.clone();
-        let threads = (np / 2).max(2).min(np.saturating_sub(1)).max(2);
         let mut paths: Vec<Session> = {
             let mut ps = programs(&arrays, &stmts, 4).into_iter();
             vec![
                 Session::new(ps.next().unwrap()),
                 Session::new(ps.next().unwrap()).backend(Backend::Channels),
-                Session::new(ps.next().unwrap()).threads(threads),
+                Session::new(ps.next().unwrap()).backend(Backend::Channels).fused(false),
                 Session::new(ps.next().unwrap()).fused(false),
             ]
         };
@@ -172,9 +134,9 @@ proptest! {
         }
         // each *distinct* statement was inspected once (duplicates share
         // the structurally-keyed cache entry), then every later timestep
-        // replayed the fused plan warm
+        // replayed the compiled plans warm — fused or not
         let distinct: std::collections::HashSet<&Assignment> = stmts.iter().collect();
-        for path in &paths[..3] {
+        for path in &paths {
             let p = path.program();
             prop_assert_eq!(p.cache_misses(), distinct.len() as u64);
             prop_assert_eq!(
@@ -184,6 +146,9 @@ proptest! {
             );
             prop_assert_eq!(p.fusion_stats().fused_timesteps, timesteps as u64);
         }
+        // the per-statement path honours its backend: the SPMD fleet ran it
+        prop_assert_eq!(paths[2].program().spmd_workers_spawned(), np as u64);
+        prop_assert_eq!(paths[3].program().spmd_workers_spawned(), 0);
     }
 
     /// A mid-trajectory `REDISTRIBUTE` of a random array invalidates the

@@ -3,6 +3,8 @@
 //! one, and the region-algebraic communication analysis agrees with exact
 //! element-wise enumeration on random statements.
 
+mod support;
+
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -109,13 +111,14 @@ proptest! {
         prop_assert_eq!(arrays[0].to_dense(), expect);
     }
 
-    /// Parallel execution is bit-identical to sequential.
+    /// Parallel (`Channels` SPMD) execution is bit-identical to
+    /// sequential.
     #[test]
-    fn par_matches_seq(s in arb_scenario(), threads in 1usize..5) {
+    fn par_matches_seq(s in arb_scenario()) {
         let (mut seq_arrays, stmt) = build(&s);
-        let (mut par_arrays, _) = build(&s);
+        let (par_arrays, _) = build(&s);
         SeqExecutor.execute(&mut seq_arrays, &stmt).unwrap();
-        ParExecutor::with_threads(threads).execute(&mut par_arrays, &stmt).unwrap();
+        let par_arrays = support::run_statement(par_arrays, &stmt, Backend::Channels).arrays;
         prop_assert_eq!(seq_arrays[0].to_dense(), par_arrays[0].to_dense());
         prop_assert_eq!(seq_arrays[1].to_dense(), par_arrays[1].to_dense());
     }

@@ -6,51 +6,13 @@
 //! with replication reported as the explicit divergence verdict rather
 //! than silently skipped.
 
+mod support;
+
 use hpf::prelude::*;
 use hpf::verify::scenarios;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Random GENERAL_BLOCK sizes: `np` non-negative lengths summing to `n`.
-fn gb_sizes(n: usize, np: usize, seed: u64) -> Vec<i64> {
-    use rand::{RngExt, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cuts: Vec<i64> = (0..np.saturating_sub(1))
-        .map(|_| rng.random_range(0..=n as u64) as i64)
-        .collect();
-    cuts.sort_unstable();
-    cuts.push(n as i64);
-    let mut prev = 0i64;
-    cuts.into_iter()
-        .map(|c| {
-            let s = c - prev;
-            prev = c;
-            s
-        })
-        .collect()
-}
-
-/// One of the paper's 1-D mapping families, selected by `kind` (5 =
-/// replicated).
-fn mapping_of(kind: u8, n: usize, np: usize, seed: u64) -> Arc<EffectiveDist> {
-    if kind % 6 == 5 {
-        return Arc::new(EffectiveDist::Replicated {
-            domain: IndexDomain::of_shape(&[n]).unwrap(),
-            procs: ProcSet::all(np),
-        });
-    }
-    let fmt = match kind % 6 {
-        0 => FormatSpec::Block,
-        1 => FormatSpec::BlockBalanced,
-        2 => FormatSpec::Cyclic(1),
-        3 => FormatSpec::Cyclic(3),
-        _ => FormatSpec::GeneralBlockSizes(gb_sizes(n, np, seed)),
-    };
-    let mut ds = DataSpace::new(np);
-    let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
-    ds.distribute(a, &DistributeSpec::new(vec![fmt])).unwrap();
-    ds.effective(a).unwrap()
-}
+use support::{gb_sizes, mapping_of};
 
 fn build_arrays(n: usize, np: usize, ka: u8, kb: u8, seed: u64) -> Vec<DistArray<f64>> {
     vec![

@@ -1,11 +1,12 @@
-//! A warm [`Session::run`] timestep performs **zero heap allocations**.
+//! A warm `SharedMem` [`Session::run`] timestep performs **zero heap
+//! allocations**, fused or per statement.
 //!
-//! The plan cache keeps a preallocated `PlanWorkspace` per compiled plan,
-//! the compressed schedules replay with `copy_from_slice` block moves and
-//! slice kernels, and the per-statement analyses come back as `Arc`
-//! handles into the frozen plans — so once the first timestep has
-//! populated the cache, later timesteps touch no allocator at all. This
-//! test pins that contract with a counting global allocator.
+//! The plan cache keeps a preallocated `FusedWorkspace` per compiled
+//! program plan, the compressed schedules replay with `copy_from_slice`
+//! block moves and slice kernels, and the per-statement analyses come
+//! back as `Arc` handles into the frozen plans — so once the first
+//! timestep has populated the cache, later timesteps touch no allocator
+//! at all. This test pins that contract with a counting global allocator.
 //!
 //! Kept as its own integration binary so no concurrently running test can
 //! pollute the counter between the snapshots.
@@ -107,7 +108,7 @@ fn stencil_program() -> Program {
 #[test]
 fn warm_session_run_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
-    let mut sess = Session::new(stencil_program()).threads(1);
+    let mut sess = Session::new(stencil_program());
     // cold timesteps: inspection, workspace construction, result-buffer
     // growth — all allocation happens here
     sess.run(2).unwrap();
@@ -137,7 +138,7 @@ fn warm_session_run_allocates_nothing() {
 #[test]
 fn warm_parallel_run_reuses_spmd_workers() {
     let _serial = SERIAL.lock().unwrap();
-    let mut sess = Session::new(stencil_program()).threads(4);
+    let mut sess = Session::new(stencil_program()).backend(Backend::Channels);
     // cold parallel timesteps: plan inspection plus the one-time spawn of
     // the persistent SPMD worker fleet (one worker per simulated processor)
     sess.run(2).unwrap();
@@ -174,27 +175,23 @@ fn warm_parallel_run_reuses_spmd_workers() {
 #[test]
 fn warm_cache_replay_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
-    // the same contract one level down: PlanCache::replay_seq on a hit
-    let mut prog = stencil_program();
-    let mut arrays = std::mem::take(&mut prog.arrays);
-    let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
-    let n = 24i64;
-    let stmt = Assignment::new(
-        0,
-        Section::from_triplets(vec![span(2, n - 1), span(2, n - 1)]),
-        vec![Term::new(1, Section::from_triplets(vec![span(1, n - 2), span(2, n - 1)]))],
-        Combine::Copy,
-        &doms,
-    )
-    .unwrap();
-    let mut cache = PlanCache::new();
-    cache.replay_seq(&mut arrays, &stmt).unwrap();
+    // the same contract on the per-statement path: every statement is its
+    // own one-statement program plan with every ghost shipped, through the
+    // same cache call and workspace type as the fused timestep
+    let mut sess = Session::new(stencil_program()).fused(false);
+    sess.run(2).unwrap();
+    let shipped = sess.program().backend_bytes_sent();
+    assert!(shipped > 0);
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..3 {
-        cache.replay_seq(&mut arrays, &stmt).unwrap();
+        sess.run(1).unwrap();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "warm replay_seq must not allocate");
-    assert_eq!((cache.hits(), cache.misses()), (3, 1));
+    assert_eq!(after - before, 0, "a warm per-statement timestep must not allocate");
+    assert_eq!(sess.program().cache_misses(), 2);
+    assert_eq!(sess.program().cache_hits(), 2 + 3 * 2);
+    // no ghost reuse: every warm timestep ships what the cold one did
+    assert_eq!(sess.program().backend_bytes_sent(), shipped / 2 * 5);
+    assert_eq!(sess.program().fusion_stats().ghost_elements_avoided, 0);
 }
