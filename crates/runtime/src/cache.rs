@@ -120,6 +120,9 @@ pub struct PlanCache {
     timestep: Option<Timestep>,
     hits: u64,
     misses: u64,
+    /// Per-rank compute nanoseconds of the last timestep, summed over its
+    /// program plans (see [`PlanCache::rank_compute_ns`]).
+    rank_ns: Vec<u64>,
     /// Lifetime timesteps and ghost traffic (carried across rebuilds).
     timesteps: u64,
     ghost_sent: u64,
@@ -200,6 +203,7 @@ impl PlanCache {
         }
         let t = self.timestep.as_mut().expect("timestep was just ensured");
         let (mut sent, mut avoided) = (0u64, 0u64);
+        self.rank_ns.clear();
         for k in 0..t.parts.len() {
             let Part { plan, state, ws } = &mut t.parts[k];
             if let Err(e) = backend.step(plan, arrays, state, ws) {
@@ -209,6 +213,15 @@ impl PlanCache {
                 // restored and the next step re-derives them
                 t.parts.iter_mut().for_each(|p| p.state.poison());
                 return Err(e.into());
+            }
+            // every part's sample counts toward the timestep's load: a
+            // per-statement timestep runs one plan per statement
+            let sample = backend.rank_compute_ns();
+            if self.rank_ns.len() < sample.len() {
+                self.rank_ns.resize(sample.len(), 0);
+            }
+            for (acc, ns) in self.rank_ns.iter_mut().zip(sample) {
+                *acc += ns;
             }
             state.finish_timestep(plan, arrays);
             sent += state.last_sent();
@@ -270,6 +283,15 @@ impl PlanCache {
             }
         }
         fs
+    }
+
+    /// Measured wall-nanoseconds each simulated processor spent in compute
+    /// kernels during the last [`PlanCache::step`], summed over every
+    /// program plan of the timestep (one per statement when it is not
+    /// fused). Empty before the first timestep; after a failed timestep,
+    /// the parts that completed.
+    pub fn rank_compute_ns(&self) -> &[u64] {
+        &self.rank_ns
     }
 
     /// Cached-replay count.

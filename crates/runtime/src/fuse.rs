@@ -9,12 +9,17 @@
 //! *program*:
 //!
 //! 1. **Superstep DAG** — the timestep's statements are level-scheduled at
-//!    array granularity: statement `s` must run after an earlier statement
-//!    `r` iff `s` reads `r`'s LHS array (RAW) or writes the same array
-//!    (WAW). WAR is *not* a conflict: the pack phase snapshots every
-//!    operand before any same-superstep store (Fortran 90 array-assignment
-//!    semantics), so an earlier reader and a later writer fuse safely into
-//!    one superstep.
+//!    array granularity: statement `s` must run in a later superstep than
+//!    an earlier statement `r` iff `s` reads `r`'s LHS array (RAW) or
+//!    writes the same array (WAW), and in no earlier superstep than `r`
+//!    iff `s` writes an array `r` reads (WAR). A WAR pair may share a
+//!    superstep: the statements of a superstep compute in program order,
+//!    so the earlier reader — packed, or reading its operand in place —
+//!    has read every element before the later writer stores one. The one
+//!    remaining hazard, a term that reads its own statement's LHS array,
+//!    is always packed (see [`crate::plan`]), and the verifier refutes an
+//!    in-place term that reads an array its own or an earlier statement
+//!    of the superstep writes.
 //! 2. **Message coalescing** — within a superstep, every constituent
 //!    plan's [`PairSchedule`](crate::PairSchedule)s for the same
 //!    `(sender, receiver)` pair merge into one [`FusedPair`]: one
@@ -36,6 +41,12 @@
 //!    without global barriers; they block only on the arrivals the next
 //!    kernel actually reads).
 //!
+//! Per superstep the executors then run one pipeline: local pack of the
+//! *packed* terms' own runs, exchange of the effective ghost units, and
+//! one compute kernel that reads in-place terms straight from the owning
+//! shards — on the §8.1.1 staggered grid every term is in place, so a warm
+//! timestep whose ghosts are all clean copies nothing at all.
+//!
 //! A [`ProgramPlan`] is immutable once compiled; `PlanCache` keeps one per
 //! statement sequence and invalidates it exactly like the per-statement
 //! plans — structural statement equality plus `MappingId` identity of
@@ -43,8 +54,9 @@
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::plan::{compute_proc, ExecPlan, ProcPlan};
+use crate::plan::{compute_proc, pack_local_runs, split_lhs, ExecPlan};
 use crate::workspace::{FusedWorkspace, PlanWorkspace};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One contiguous piece of a coalesced message, tied back to the
@@ -135,6 +147,7 @@ pub struct Superstep {
 /// Immutable once compiled; see the module docs for invalidation rules.
 #[derive(Debug, Clone)]
 pub struct ProgramPlan {
+    id: u64,
     plans: Vec<Arc<ExecPlan>>,
     supersteps: Vec<Superstep>,
     pairs: Vec<FusedPair>,
@@ -142,6 +155,30 @@ pub struct ProgramPlan {
     messages_before: usize,
     messages_after: usize,
 }
+
+/// The superstep of every statement: the lowest level past every earlier
+/// statement it reads the LHS of (RAW) or shares the LHS with (WAW), and
+/// no lower than any earlier statement that reads the array it writes
+/// (WAR — program order inside the superstep keeps the read first).
+pub(crate) fn superstep_levels(stmts: &[Assignment]) -> Vec<usize> {
+    let mut level = vec![0usize; stmts.len()];
+    for s in 0..stmts.len() {
+        for r in 0..s {
+            let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
+            let waw = stmts[s].lhs == stmts[r].lhs;
+            let war = stmts[r].terms.iter().any(|t| t.array == stmts[s].lhs);
+            if raw || waw {
+                level[s] = level[s].max(level[r] + 1);
+            } else if war {
+                level[s] = level[s].max(level[r]);
+            }
+        }
+    }
+    level
+}
+
+/// Source of [`ProgramPlan::id`].
+static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Merge possibly-overlapping `(start, end)` intervals into a sorted
 /// disjoint list.
@@ -176,23 +213,9 @@ impl ProgramPlan {
     /// Panics if `stmts` and `plans` disagree in length.
     pub fn compile(stmts: &[Assignment], plans: Vec<Arc<ExecPlan>>) -> ProgramPlan {
         assert_eq!(stmts.len(), plans.len(), "one plan per statement");
-        let n = stmts.len();
 
-        // 1. greedy level scheduling at array granularity: s conflicts
-        // with an earlier r iff s reads r's LHS (RAW) or writes the same
-        // array (WAW). WAR fuses (pack snapshots operands before stores).
-        let mut level = vec![0usize; n];
-        for s in 0..n {
-            let mut lv = 0usize;
-            for r in 0..s {
-                let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
-                let waw = stmts[s].lhs == stmts[r].lhs;
-                if raw || waw {
-                    lv = lv.max(level[r] + 1);
-                }
-            }
-            level[s] = lv;
-        }
+        // 1. greedy level scheduling at array granularity
+        let level = superstep_levels(stmts);
         let depth = level.iter().map(|l| l + 1).max().unwrap_or(0);
         let mut supersteps: Vec<Superstep> =
             (0..depth).map(|_| Superstep { stmts: Vec::new() }).collect();
@@ -313,7 +336,24 @@ impl ProgramPlan {
         }
         let messages_after = pairs.len();
 
-        ProgramPlan { plans, supersteps, pairs, units, messages_before, messages_after }
+        ProgramPlan {
+            id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
+            plans,
+            supersteps,
+            pairs,
+            units,
+            messages_before,
+            messages_after,
+        }
+    }
+
+    /// Process-wide unique id assigned at [`ProgramPlan::compile`],
+    /// increasing in compile order (a clone keeps it, and shares the
+    /// constituent plans that shape the operand buffers). Executors key
+    /// per-plan scratch by it: an allocation address can be reused once a
+    /// plan is dropped, an id never is.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// The constituent per-statement plans, in program order.
@@ -661,20 +701,6 @@ impl std::fmt::Display for FusionStats {
     }
 }
 
-/// Pack phase for one processor restricted to its *own* data: copy the
-/// local runs (`src == me`) into the packed operand buffers, leaving the
-/// remote positions for the exchange phase to fill.
-fn pack_local_runs(arrays: &[DistArray<f64>], pp: &ProcPlan, bufs: &mut [Vec<f64>]) {
-    let me = pp.proc.zero_based() as u32;
-    for (ts, buf) in pp.terms.iter().zip(bufs) {
-        let src_arr = &arrays[ts.array];
-        for r in ts.runs.iter().filter(|r| r.src == me) {
-            let src = &src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len];
-            buf[r.dst_off..r.dst_off + r.len].copy_from_slice(src);
-        }
-    }
-}
-
 /// Stage the effective segments of every fused pair hoisted to `phase`
 /// into its staging buffer and deliver them into the per-statement packed
 /// operand buffers — the shared-mem backend's exchange leg. Returns the
@@ -734,12 +760,14 @@ fn stage_pair<'a>(
     off as u64
 }
 
-/// The shared-mem backend's timestep over one address space: per phase, pack the
-/// superstep's local runs, stage the effective segments of every pair
-/// hoisted to the phase, then compute the superstep's statements, adding
-/// each processor's measured kernel time to `rank_ns` (indexed by
-/// zero-based processor). Returns the elements staged (the timestep's
-/// wire traffic). Warm calls perform zero heap allocations.
+/// The shared-mem backend's timestep over one address space: per phase,
+/// pack the superstep's packed terms' own runs, stage the effective
+/// segments of every pair hoisted to the phase, then compute the
+/// superstep's statements in program order (in-place terms read straight
+/// from the operand shards), adding each processor's measured kernel time
+/// to `rank_ns` (indexed by zero-based processor). Returns the elements
+/// staged (the timestep's wire traffic). Warm calls perform zero heap
+/// allocations.
 pub(crate) fn execute_fused_seq(
     plan: &ProgramPlan,
     arrays: &mut [DistArray<f64>],
@@ -752,23 +780,38 @@ pub(crate) fn execute_fused_seq(
     let mut staged_total = 0u64;
     for phase in 0..plan.supersteps.len() {
         for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            for (pp, bufs) in sp.per_proc().iter().zip(ws.per_stmt[s].bufs.iter_mut()) {
-                pack_local_runs(arrays, pp, bufs);
+            let bufs = ws.per_stmt[s].bufs.iter_mut();
+            for (pp, bufs) in plan.plans[s].per_proc().iter().zip(bufs) {
+                // only the own shards: ghosts ride the staged exchange
+                let me = pp.proc.zero_based();
+                let own = |a: usize| {
+                    let shard = arrays[a].local(me);
+                    move |src: u32| (src as usize == me).then_some(shard)
+                };
+                pack_local_runs(pp, own, bufs);
             }
         }
         staged_total += stage_phase(plan, arrays, state, ws, phase);
         for &s in &plan.supersteps[phase].stmts {
             let sp = &plan.plans[s];
-            let combine = sp.combine();
-            let (_, locals) = arrays[sp.lhs()].parts_mut();
-            for (pp, bufs) in sp.per_proc().iter().zip(&ws.per_stmt[s].bufs) {
+            let PlanWorkspace { bufs, cursors } = &mut ws.per_stmt[s];
+            let (lhs, operand) = split_lhs(arrays, sp.lhs());
+            let (_, locals) = lhs.parts_mut();
+            for (pp, bufs) in sp.per_proc().iter().zip(bufs.iter()) {
+                let me = pp.proc.zero_based();
                 // per-rank compute-time sample: what the simulated
                 // processor would spend on its kernels, measured — the
                 // adaptive controller's observed load vector
                 let t0 = std::time::Instant::now();
-                compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, combine);
-                rank_ns[pp.proc.zero_based()] += t0.elapsed().as_nanos() as u64;
+                compute_proc(
+                    pp,
+                    &mut locals[me],
+                    |a| operand(a).local(me),
+                    bufs,
+                    cursors,
+                    sp.combine(),
+                );
+                rank_ns[me] += t0.elapsed().as_nanos() as u64;
             }
         }
     }
@@ -869,6 +912,39 @@ mod tests {
         for u in plan.units().iter().filter(|u| u.superstep == 1) {
             assert!(u.intra_dirty, "rewritten before its pack phase → intra");
             assert!(!u.post_dirty, "packed after the write → current at timestep end");
+        }
+    }
+
+    #[test]
+    fn war_writer_never_runs_before_an_earlier_reader() {
+        // s1 reads A0 one level down (RAW on A2); s2 writes A0 and has no
+        // RAW/WAW predecessor, yet must not run before s1 reads A0
+        let n = 16i64;
+        let fmts = [FormatSpec::Block, FormatSpec::Block, FormatSpec::Block, FormatSpec::Block];
+        let mut arrays = arrays_1d(16, 2, &fmts);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let all = || Section::from_triplets(vec![span(1, n)]);
+        let copy = |lhs: usize, terms: &[usize]| {
+            let terms = terms.iter().map(|&a| Term::new(a, all())).collect();
+            Assignment::new(lhs, all(), terms, Combine::Sum, &doms).unwrap()
+        };
+        let stmts = [copy(2, &[3]), copy(1, &[2, 0]), copy(0, &[3])];
+        let plan = compile(&arrays, &stmts);
+        assert_eq!(superstep_levels(&stmts), vec![0, 1, 1]);
+        assert_eq!(plan.supersteps()[1].stmts, vec![1, 2], "program order within the level");
+        let mut oracle = arrays.clone();
+        for stmt in &stmts {
+            crate::exec::dense_reference(&oracle, stmt)
+                .into_iter()
+                .zip(oracle[stmt.lhs].domain().clone().iter())
+                .for_each(|(v, i)| oracle[stmt.lhs].set(&i, v));
+        }
+        let mut ws = FusedWorkspace::for_plan(&plan);
+        let mut state = FusedState::new(&plan, &arrays, false);
+        state.begin_timestep(&plan, &arrays, BufferDomain::Workspace);
+        execute_fused_seq(&plan, &mut arrays, &state, &mut ws, &mut [0; 2]);
+        for (a, o) in arrays.iter().zip(&oracle) {
+            assert_eq!(a.to_dense(), o.to_dense(), "{}", a.name());
         }
     }
 

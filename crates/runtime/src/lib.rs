@@ -40,8 +40,8 @@
 //!   operand (the paper's reference \[11\]);
 //! * [`ProgramPlan`] — program-level plan fusion: the statements of a
 //!   timestep scheduled into a superstep DAG (level scheduling over
-//!   RAW/WAW hazards — Fortran 90 copy-in/copy-out semantics make WAR
-//!   safe inside a superstep), their [`MessagePlan`]s coalesced into one
+//!   RAW/WAW hazards — a superstep computes in program order, which
+//!   makes WAR safe inside it), their [`MessagePlan`]s coalesced into one
 //!   aggregated schedule per (sender, receiver, superstep), and every
 //!   coalesced segment bound to a dirty-tracking unit so ghost data whose
 //!   source shard no statement wrote is never re-packed or re-sent on

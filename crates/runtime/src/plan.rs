@@ -14,20 +14,38 @@
 //! element, a plan stores:
 //!
 //! * per RHS term, a list of [`CopyRun`]s — `len` consecutive elements of
-//!   one source processor's buffer, landing at a contiguous position range
-//!   of the packed operand buffer (remote runs are exactly the statement's
+//!   one source processor's buffer, covering a contiguous position range
+//!   of the term's operand (remote runs are exactly the statement's
 //!   SUPERB-style ghost blocks, the paper's reference \[11\]); and
 //! * for the LHS, a list of [`StoreRun`]s — contiguous slices of the
 //!   owner's local buffer that receive consecutive computed elements.
 //!
-//! A replay therefore moves data with `copy_from_slice` block transfers
-//! and combines operands with slice kernels specialized by
-//! `(Combine, term count)`, instead of per-element indexed loads. With a
-//! reusable [`PlanWorkspace`](crate::PlanWorkspace) holding the packed
-//! operand buffers, a warm replay performs **zero heap allocations**:
-//! pack → exchange → compute touches only preallocated storage. The frozen
-//! [`CommAnalysis`] rides along, so replays also skip the region-algebraic
-//! analysis.
+//! **Owned operands are read in place.** A term whose own-shard runs are
+//! long ([`TermSchedule::in_place`]) is read by the compute kernel straight
+//! from the processor's shard of the operand array; only its ghost
+//! positions go through the packed operand buffer. Every other term is
+//! *packed*: its own-shard runs are block-copied into the buffer first
+//! ([`pack_local_runs`]), next to the ghosts. Two kinds of term stay
+//! packed:
+//!
+//! * a term that reads the statement's own LHS array — reading it in place
+//!   would observe elements the kernel has already overwritten, breaking
+//!   Fortran 90 array-assignment semantics (`A(2:N) = A(1:N-1)`); the pack
+//!   is the snapshot that keeps them;
+//! * a fragmented term, whose own-shard runs average fewer than
+//!   `IN_PLACE_MIN_RUN` (8, one 64-byte line of `f64`) elements. The
+//!   kernel cuts a chunk at every in-place run boundary, so reading a
+//!   CYCLIC(1)-fed term in place would shrink every chunk to one element
+//!   (the measurement behind the threshold is on the constant);
+//! * an all-ghost term, which has nothing of its own to read in place.
+//!
+//! A replay moves data with `copy_from_slice` block transfers and combines
+//! operand slices with one left-fold kernel ([`compute_proc`]), instead of
+//! per-element indexed loads. With a reusable
+//! [`PlanWorkspace`](crate::PlanWorkspace) holding the packed operand
+//! buffers, a warm replay performs **zero heap allocations**. The frozen
+//! [`CommAnalysis`] rides along, so replays also skip the
+//! region-algebraic analysis.
 //!
 //! [`EffectiveDist`]: hpf_core::EffectiveDist
 
@@ -57,15 +75,18 @@ pub struct GatherRef {
 }
 
 /// A run-length compressed gather: `len` consecutive elements of one
-/// source processor's local buffer, copied to a contiguous range of the
-/// packed operand buffer with a single `copy_from_slice`.
+/// source processor's local buffer, feeding a contiguous range of operand
+/// positions — copied into the packed operand buffer with a single
+/// `copy_from_slice`, or (an own-shard run of an in-place term) read by
+/// the kernel where it lies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyRun {
     /// Zero-based source processor.
     pub src: u32,
     /// Starting flat offset into the source processor's local buffer.
     pub src_off: usize,
-    /// Starting position in the packed operand buffer (element order).
+    /// Starting operand position (element order) — where the run lands in
+    /// the packed operand buffer.
     pub dst_off: usize,
     /// Number of consecutive elements moved.
     pub len: usize,
@@ -97,6 +118,13 @@ pub struct TermSchedule {
     /// How many of the gathered elements are remote — the term's ghost
     /// volume on this processor.
     pub ghost_elements: usize,
+    /// True iff the compute kernel reads this term's own-shard runs
+    /// straight from the processor's shard instead of a packed copy: the
+    /// term does not read the statement's LHS array, and it has own-shard
+    /// runs, averaging at least `IN_PLACE_MIN_RUN` elements (see the
+    /// module docs). Ghost runs always go through the packed operand
+    /// buffer, so an all-ghost term gains nothing in place and is packed.
+    pub in_place: bool,
 }
 
 impl TermSchedule {
@@ -108,6 +136,16 @@ impl TermSchedule {
         })
     }
 }
+
+/// In-place threshold: a term is read in place only when its own-shard
+/// runs average at least this many elements — one 64-byte cache line of
+/// `f64`. The kernel cuts a chunk at every in-place run boundary, so a
+/// fragmented term in place turns the fold into one-element chunks.
+/// Measured with the `mixed_chain_1d` benchmark workload (7 statements
+/// with CYCLIC-fed terms, N = 2^17, 2-vCPU host, two 6 s runs each): a
+/// threshold of 1 ran 75–76 warm steps/s, 8 ran 158–160, and 2 and 64
+/// stayed within 10% of 8 (165–169 and 146–152).
+const IN_PLACE_MIN_RUN: usize = 8;
 
 /// Everything one processor must do to execute the statement: which LHS
 /// slices it fills and where each operand block comes from.
@@ -223,11 +261,19 @@ impl ExecPlan {
                         }),
                     }
                 }
+                let me = p.zero_based() as u32;
+                let (own_elems, own_runs) = runs
+                    .iter()
+                    .filter(|r| r.src == me)
+                    .fold((0usize, 0usize), |(e, n), r| (e + r.len, n + 1));
                 terms.push(TermSchedule {
                     array: term.array,
                     runs,
                     elements: volume,
                     ghost_elements,
+                    in_place: term.array != stmt.lhs
+                        && own_runs > 0
+                        && own_elems >= IN_PLACE_MIN_RUN * own_runs,
                 });
             }
             per_proc.push(ProcPlan { proc: p, volume, lhs_runs, terms });
@@ -398,7 +444,9 @@ impl ExecPlan {
 
     /// Replay the plan sequentially: pack/exchange every processor's
     /// operand buffers (reads only — Fortran 90 semantics even when the
-    /// LHS appears on the RHS), then compute into the LHS local buffers.
+    /// LHS appears on the RHS, whose terms are always packed), then
+    /// compute into the LHS local buffers, reading in-place terms from
+    /// the operand shards.
     ///
     /// Allocates a throwaway [`PlanWorkspace`]; hot loops should hold one
     /// and call [`ExecPlan::execute_seq_with`] (or run timesteps through a
@@ -415,9 +463,10 @@ impl ExecPlan {
 
     /// Replay the plan sequentially into a reusable workspace. When `ws`
     /// was built for this plan (or has already been used with it), the
-    /// replay performs **zero heap allocations**: block copies into the
-    /// preallocated pack buffers, then slice-kernel compute into the LHS
-    /// local storage.
+    /// replay performs **zero heap allocations**: block copies of the
+    /// packed terms' own runs and of every ghost run into the
+    /// preallocated pack buffers, then the slice kernel into the LHS local
+    /// storage.
     ///
     /// # Panics
     /// Panics if the plan is stale for `arrays` (see
@@ -425,12 +474,30 @@ impl ExecPlan {
     pub fn execute_seq_with(&self, arrays: &mut [DistArray<f64>], ws: &mut PlanWorkspace) {
         assert!(self.is_valid_for(arrays), "stale plan: an involved array was remapped");
         ws.ensure(self);
+        // one address space: every shard is local, so the ghosts are
+        // packed in the same pass as the own runs
         for (pp, bufs) in self.per_proc.iter().zip(ws.bufs.iter_mut()) {
-            pack_proc(arrays, pp, bufs);
+            pack_local_runs(
+                pp,
+                |a| {
+                    let arr = &arrays[a];
+                    move |src: u32| Some(arr.local(src as usize))
+                },
+                bufs,
+            );
         }
-        let (_, locals) = arrays[self.lhs].parts_mut();
+        let (lhs, operand) = split_lhs(arrays, self.lhs);
+        let (_, locals) = lhs.parts_mut();
         for (pp, bufs) in self.per_proc.iter().zip(&ws.bufs) {
-            compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, self.combine);
+            let me = pp.proc.zero_based();
+            compute_proc(
+                pp,
+                &mut locals[me],
+                |a| operand(a).local(me),
+                bufs,
+                &mut ws.cursors,
+                self.combine,
+            );
         }
     }
 
@@ -475,91 +542,139 @@ impl ExecPlan {
     }
 }
 
-/// Pack phase for one processor: assemble its per-term operand buffers
-/// from its own local segment plus ghost data, one block copy per
-/// compressed run.
-pub(crate) fn pack_proc(
-    arrays: &[DistArray<f64>],
+/// Split `items` at the LHS index: the LHS item mutably, plus a lookup
+/// for every other item — what an in-place term reads while the kernel
+/// writes the LHS. Looking up the LHS itself panics: a term that reads its
+/// statement's LHS array is always packed.
+pub(crate) fn split_lhs<'a, T>(
+    items: &'a mut [T],
+    lhs: usize,
+) -> (&'a mut T, impl Fn(usize) -> &'a T + 'a) {
+    let (before, rest) = items.split_at_mut(lhs);
+    let (out, after) = rest.split_first_mut().expect("LHS index in range");
+    let (before, after) = (&*before, &*after);
+    (out, move |a| if a < lhs { &before[a] } else { &after[a - lhs - 1] })
+}
+
+/// Local pack for one processor: block-copy into each term's operand
+/// buffer every gather run whose source shard is local to the caller —
+/// `shards(array)(src)` returns it, `None` for a shard the caller cannot
+/// read — except the own-shard runs of in-place terms (see
+/// [`TermSchedule::in_place`]), which the kernel reads where they lie.
+/// A backend reads only the processor's own shards, so it packs the own
+/// runs of packed terms and leaves the ghosts to its exchange;
+/// [`ExecPlan::execute_seq_with`] reads every shard and packs the ghosts
+/// in the same pass over the runs. The lookup is resolved once per term,
+/// leaving one cheap call per run (a CYCLIC(1) gather has a run per
+/// element).
+pub(crate) fn pack_local_runs<'a, F: Fn(u32) -> Option<&'a [f64]>>(
     pp: &ProcPlan,
+    shards: impl Fn(usize) -> F,
     bufs: &mut [Vec<f64>],
 ) {
+    let me = pp.proc.zero_based() as u32;
     for (ts, buf) in pp.terms.iter().zip(bufs) {
-        let src_arr = &arrays[ts.array];
+        let shard = shards(ts.array);
+        let skip_own = ts.in_place;
         for r in &ts.runs {
-            let src = &src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len];
-            buf[r.dst_off..r.dst_off + r.len].copy_from_slice(src);
+            if skip_own && r.src == me {
+                continue;
+            }
+            let Some(src) = shard(r.src) else { continue };
+            let dst = &mut buf[r.dst_off..r.dst_off + r.len];
+            match (dst, &src[r.src_off..r.src_off + r.len]) {
+                // a CYCLIC(1) gather is all one-element runs: no memcpy call
+                ([d], [x]) => *d = *x,
+                (dst, src) => dst.copy_from_slice(src),
+            }
         }
     }
 }
 
-/// Compute phase for one processor: combine the packed operand buffers
-/// into the LHS local buffer, one contiguous slice per store run.
+/// Longest chunk the kernel folds from more than one term at once, so the
+/// LHS chunk stays in L1 across the per-term passes when no in-place run
+/// boundary cuts it sooner. Without the cap, the `mixed_chain_1d`
+/// benchmark workload measured 0.76–0.80 ms of compute per step against
+/// 0.69–0.73 with it (three traced runs each, 2-vCPU host). A one-term
+/// statement makes one pass, and cutting its copy only adds calls.
+const MAX_CHUNK: usize = 1024;
+
+/// Compute phase for one processor: combine the operands into its LHS
+/// local buffer `out`, one contiguous chunk at a time.
 ///
-/// Kernels are specialized by `(Combine, term count)` — 1-term copy is a
-/// block move, the 2-term sum is a vectorizable slice loop, and the n-term
-/// fallback accumulates directly into the LHS slice (safe because the pack
-/// phase already snapshotted every operand).
-pub(crate) fn compute_proc(
+/// The kernel walks the store runs and cuts a chunk wherever an in-place
+/// term's current gather run ends (and at [`MAX_CHUNK`] when it folds
+/// several terms), so within a
+/// chunk every term is one contiguous slice: an in-place term's own-shard
+/// run is read from `own(array)` — the processor's shard of that array —
+/// and every other position from the term's packed buffer in `bufs`.
+/// Each chunk is folded term by term in statement order (copy the first,
+/// then `+=` / `max` the rest, `/ n` for an average), the same left fold
+/// as [`Combine::apply`], so results are bit-identical to packing every
+/// operand. `cursors` is caller-owned scratch holding each term's current
+/// gather run (at least one slot per term), so the kernel never
+/// allocates.
+pub(crate) fn compute_proc<'a>(
     pp: &ProcPlan,
-    local: &mut [f64],
+    out: &mut [f64],
+    own: impl Fn(usize) -> &'a [f64],
     bufs: &[Vec<f64>],
+    cursors: &mut [usize],
     combine: Combine,
 ) {
-    match (combine, bufs) {
-        (Combine::Copy, [b]) => {
-            for r in &pp.lhs_runs {
-                local[r.dst_off..r.dst_off + r.len]
-                    .copy_from_slice(&b[r.pos..r.pos + r.len]);
-            }
-        }
-        (Combine::Sum, [a, b]) => {
-            for r in &pp.lhs_runs {
-                let out = &mut local[r.dst_off..r.dst_off + r.len];
-                let (xs, ys) = (&a[r.pos..r.pos + r.len], &b[r.pos..r.pos + r.len]);
-                for ((o, x), y) in out.iter_mut().zip(xs).zip(ys) {
-                    *o = x + y;
+    let me = pp.proc.zero_based() as u32;
+    let cursors = &mut cursors[..pp.terms.len()];
+    cursors.fill(0);
+    let n = pp.terms.len() as f64;
+    let max_chunk = if pp.terms.len() > 1 { MAX_CHUNK } else { usize::MAX };
+    // store runs ascend in position, so each cursor only moves forward
+    for r in &pp.lhs_runs {
+        let (mut pos, end) = (r.pos, r.pos + r.len);
+        while pos < end {
+            let mut len = (end - pos).min(max_chunk);
+            let terms = pp.terms.iter().zip(cursors.iter_mut());
+            for (ts, c) in terms.filter(|(ts, _)| ts.in_place) {
+                while ts.runs[*c].dst_off + ts.runs[*c].len <= pos {
+                    *c += 1;
                 }
+                let run = &ts.runs[*c];
+                len = len.min(run.dst_off + run.len - pos);
             }
-        }
-        _ => {
-            let (first, rest) = bufs.split_first().expect("validated: ≥ 1 term");
-            for r in &pp.lhs_runs {
-                let out = &mut local[r.dst_off..r.dst_off + r.len];
-                match combine {
-                    Combine::Copy => unreachable!(
-                        "1-term Copy takes the specialized arm; validation \
-                         rejects multi-term Copy"
-                    ),
-                    Combine::Sum | Combine::Average => {
-                        out.copy_from_slice(&first[r.pos..r.pos + r.len]);
-                        for b in rest {
-                            for (o, x) in out.iter_mut().zip(&b[r.pos..r.pos + r.len])
-                            {
-                                *o += x;
-                            }
-                        }
-                        if matches!(combine, Combine::Average) {
-                            let n = bufs.len() as f64;
-                            for o in out.iter_mut() {
-                                *o /= n;
-                            }
-                        }
+            let dst = &mut out[r.dst_off + (pos - r.pos)..][..len];
+            for (t, (ts, &c)) in pp.terms.iter().zip(cursors.iter()).enumerate() {
+                let src = match ts.in_place.then(|| &ts.runs[c]) {
+                    Some(run) if run.src == me => {
+                        &own(ts.array)[run.src_off + (pos - run.dst_off)..][..len]
                     }
-                    Combine::Max => {
+                    _ => &bufs[t][pos..pos + len],
+                };
+                match (combine, t) {
+                    (Combine::Max, 0) => {
                         // fold from −∞ exactly like `Combine::apply`
-                        for (o, x) in out.iter_mut().zip(&first[r.pos..r.pos + r.len])
-                        {
+                        for (o, x) in dst.iter_mut().zip(src) {
                             *o = f64::NEG_INFINITY.max(*x);
                         }
-                        for b in rest {
-                            for (o, x) in out.iter_mut().zip(&b[r.pos..r.pos + r.len])
-                            {
-                                *o = o.max(*x);
-                            }
+                    }
+                    (Combine::Max, _) => {
+                        for (o, x) in dst.iter_mut().zip(src) {
+                            *o = o.max(*x);
+                        }
+                    }
+                    (_, 0) => dst.copy_from_slice(src),
+                    // Sum and Average (validation rejects multi-term Copy)
+                    _ => {
+                        for (o, x) in dst.iter_mut().zip(src) {
+                            *o += x;
                         }
                     }
                 }
             }
+            if combine == Combine::Average {
+                for o in dst.iter_mut() {
+                    *o /= n;
+                }
+            }
+            pos += len;
         }
     }
 }
@@ -722,6 +837,124 @@ mod tests {
         .unwrap();
         let expect = dense_reference(&arrays, &stmt);
         ExecPlan::inspect(&arrays, &stmt).unwrap().execute_seq(&mut arrays);
+        assert_eq!(arrays[0].to_dense(), expect);
+    }
+
+    /// `(elements, runs)` of processor schedule `pp`'s own-shard gathers
+    /// for term `t`.
+    fn own_runs(pp: &ProcPlan, t: usize) -> (usize, usize) {
+        let me = pp.proc.zero_based() as u32;
+        pp.terms[t]
+            .runs
+            .iter()
+            .filter(|r| r.src == me)
+            .fold((0, 0), |(e, n), r| (e + r.len, n + 1))
+    }
+
+    #[test]
+    fn in_place_rule() {
+        // §8.1.1 PR = U(0:N-1,:) + U(1:N,:) + V(:,0:N-1) + V(:,1:N) under
+        // (BLOCK, BLOCK): every own-shard run is a column stretch of about
+        // N/2 elements, so every term of every processor goes in place
+        let n = 64i64;
+        let mut ds = DataSpace::new(4);
+        ds.declare_processors("G", IndexDomain::of_shape(&[2, 2]).unwrap()).unwrap();
+        let mut arrays = Vec::new();
+        for (name, lo) in [("P", [1, 1]), ("U", [0, 1]), ("V", [1, 0])] {
+            let dom = IndexDomain::standard(&[(lo[0], n), (lo[1], n)]).unwrap();
+            let id = ds.declare(name, dom).unwrap();
+            let spec = DistributeSpec::to(vec![FormatSpec::Block, FormatSpec::Block], "G");
+            ds.distribute(id, &spec).unwrap();
+            arrays.push(DistArray::new(name, ds.effective(id).unwrap(), 4, 1.0));
+        }
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let sec = |a: (i64, i64), b: (i64, i64)| {
+            Section::from_triplets(vec![span(a.0, a.1), span(b.0, b.1)])
+        };
+        let stmt = Assignment::new(
+            0,
+            sec((1, n), (1, n)),
+            vec![
+                Term::new(1, sec((0, n - 1), (1, n))),
+                Term::new(1, sec((1, n), (1, n))),
+                Term::new(2, sec((1, n), (0, n - 1))),
+                Term::new(2, sec((1, n), (1, n))),
+            ],
+            Combine::Sum,
+            &doms,
+        )
+        .unwrap();
+        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+        for pp in plan.per_proc() {
+            assert!(pp.terms.iter().all(|ts| ts.in_place), "{}", pp.proc);
+        }
+
+        // a CYCLIC(1)-fed term gathers one-element own runs: packed
+        let arrays = setup(32, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
+        let plan = ExecPlan::inspect(&arrays, &shift_stmt(32, &arrays)).unwrap();
+        for pp in plan.per_proc() {
+            assert_eq!(own_runs(pp, 0).0, own_runs(pp, 0).1, "one-element runs");
+            assert!(!pp.terms[0].in_place, "{}", pp.proc);
+        }
+
+        // an all-ghost term has nothing to read in place: A(1:32) = B(33:64)
+        // on 2 processors is one remote run of 32 on p1
+        let arrays = setup(64, 2, &[FormatSpec::Block, FormatSpec::Block]);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let far = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(1, 32)]),
+            vec![Term::new(1, Section::from_triplets(vec![span(33, 64)]))],
+            Combine::Copy,
+            &doms,
+        )
+        .unwrap();
+        let plan = ExecPlan::inspect(&arrays, &far).unwrap();
+        let p1 = &plan.per_proc()[0];
+        assert_eq!((own_runs(p1, 0), p1.terms[0].ghost_elements), ((0, 0), 32));
+        assert!(!p1.terms[0].in_place);
+
+        // a term reading its own LHS array is packed however long its runs
+        let arrays = setup(64, 2, &[FormatSpec::Block]);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let alias = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, 64)]),
+            vec![Term::new(0, Section::from_triplets(vec![span(1, 63)]))],
+            Combine::Copy,
+            &doms,
+        )
+        .unwrap();
+        for pp in ExecPlan::inspect(&arrays, &alias).unwrap().per_proc() {
+            assert!(own_runs(pp, 0).0 >= 31);
+            assert!(!pp.terms[0].in_place, "{}", pp.proc);
+        }
+
+        // the boundary: A = B with A BLOCK and B GENERAL_BLOCK(7, 9) on 2
+        // processors. p1 computes A(1:8) and owns B(1:7) — one run one
+        // element short of the threshold — while p2 computes A(9:16) from
+        // its own B(9:16), a run of exactly the threshold
+        let k = IN_PLACE_MIN_RUN as i64;
+        let fmts = [FormatSpec::Block, FormatSpec::GeneralBlockSizes(vec![k - 1, k + 1])];
+        let arrays = setup(2 * IN_PLACE_MIN_RUN, 2, &fmts);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let copy = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(1, 2 * k)]),
+            vec![Term::new(1, Section::from_triplets(vec![span(1, 2 * k)]))],
+            Combine::Copy,
+            &doms,
+        )
+        .unwrap();
+        let plan = ExecPlan::inspect(&arrays, &copy).unwrap();
+        let (p1, p2) = (&plan.per_proc()[0], &plan.per_proc()[1]);
+        assert_eq!(own_runs(p1, 0), (IN_PLACE_MIN_RUN - 1, 1));
+        assert!(!p1.terms[0].in_place, "mean {} < {IN_PLACE_MIN_RUN}: packed", k - 1);
+        assert_eq!(own_runs(p2, 0), (IN_PLACE_MIN_RUN, 1));
+        assert!(p2.terms[0].in_place, "mean exactly {IN_PLACE_MIN_RUN}: in place");
+        let mut arrays = arrays;
+        let expect = dense_reference(&arrays, &copy);
+        plan.execute_seq(&mut arrays);
         assert_eq!(arrays[0].to_dense(), expect);
     }
 

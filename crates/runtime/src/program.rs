@@ -42,8 +42,7 @@ use std::time::Duration;
 /// simulated processor, before dirty-tracking elides clean ghost units);
 /// `rank_compute_ns` is the *measured* wall-time each simulated processor
 /// spent in compute kernels during the last timestep, sampled by the
-/// exchange backends (for a timestep that is not fused, the last
-/// statement's sample).
+/// exchange backends and summed over the timestep's statements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Simulated processor count the vectors below are indexed by.
@@ -106,9 +105,6 @@ pub struct Program {
     pending_faults: Option<FaultPlan>,
     /// Wedge-detection timeout for the `Channels` driver, if overridden.
     step_timeout: Option<Duration>,
-    /// Which backend executed the last timestep — the source of the
-    /// measured per-rank compute-time sample [`Program::stats`] reports.
-    last_backend: Backend,
 }
 
 impl Clone for Program {
@@ -125,7 +121,6 @@ impl Clone for Program {
             last: self.last.clone(),
             pending_faults: None,
             step_timeout: self.step_timeout,
-            last_backend: Backend::SharedMem,
         }
     }
 }
@@ -142,7 +137,6 @@ impl Program {
             last: Vec::new(),
             pending_faults: None,
             step_timeout: None,
-            last_backend: Backend::SharedMem,
         }
     }
 
@@ -189,7 +183,6 @@ impl Program {
             return Ok(&self.last);
         }
         self.arm_pending(backend);
-        self.last_backend = backend;
         let exchange: &mut dyn ExchangeBackend = match backend {
             Backend::SharedMem => &mut self.shared,
             Backend::Channels => {
@@ -289,16 +282,12 @@ impl Program {
         }
     }
 
-    /// The measured per-rank compute-time sample of the last timestep
-    /// (empty before the first one). Borrowed straight from the backend —
-    /// no allocation, safe on the warm path.
+    /// The measured per-rank compute-time sample of the last timestep,
+    /// summed over its statements (empty before the first one). Borrowed
+    /// straight from the plan cache — no allocation, safe on the warm
+    /// path.
     pub fn last_rank_compute_ns(&self) -> &[u64] {
-        match self.last_backend {
-            Backend::SharedMem => self.shared.rank_compute_ns(),
-            Backend::Channels => {
-                self.channels.as_ref().map_or(&[][..], |c| c.rank_compute_ns())
-            }
-        }
+        self.cache.rank_compute_ns()
     }
 
     /// Statically verify every statement's compiled plan — prove (or
@@ -673,6 +662,49 @@ mod tests {
         assert_eq!(prog.cache_misses(), 2, "remap forces re-inspection");
         prog.step(Backend::SharedMem, true).unwrap();
         assert_eq!(prog.cache_hits(), 2, "and the fresh plan is reused again");
+    }
+
+    #[test]
+    fn unfused_compute_sample_sums_every_statement() {
+        // statement 1 computes only on rank 0, statement 2 only on rank 1;
+        // a per-statement timestep runs them as two program plans, and
+        // the timestep's sample must carry both ranks' kernel time
+        let (n, h, np) = (1i64 << 15, 1i64 << 14, 2usize);
+        let mut ds = DataSpace::new(np);
+        let mut arrays = Vec::new();
+        for (k, name) in ["A", "B", "C"].into_iter().enumerate() {
+            let id = ds.declare(name, IndexDomain::of_shape(&[n as usize]).unwrap()).unwrap();
+            ds.distribute(id, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
+            arrays.push(DistArray::from_fn(name, ds.effective(id).unwrap(), np, |i| {
+                (i[0] * (k as i64 + 1)) as f64
+            }));
+        }
+        for backend in [Backend::SharedMem, Backend::Channels] {
+            let mut prog = Program::new(arrays.clone());
+            let doms: Vec<&IndexDomain> = prog.arrays.iter().map(|a| a.domain()).collect();
+            let half = |lo: i64, hi: i64| Section::from_triplets(vec![span(lo, hi)]);
+            let stmts: Vec<Assignment> = [(1, h), (h + 1, n)]
+                .into_iter()
+                .map(|(lo, hi)| {
+                    let terms = vec![Term::new(1, half(lo, hi)), Term::new(2, half(lo, hi))];
+                    Assignment::new(0, half(lo, hi), terms, Combine::Sum, &doms).unwrap()
+                })
+                .collect();
+            for s in stmts {
+                prog.push(s).unwrap();
+            }
+            for _ in 0..3 {
+                prog.step(backend, false).unwrap();
+            }
+            let ns = prog.last_rank_compute_ns().to_vec();
+            assert_eq!(ns.len(), np, "{backend}");
+            let max = *ns.iter().max().unwrap();
+            assert!(
+                ns.iter().all(|&x| x * 20 >= max),
+                "{backend}: every rank computed half the timestep, sample {ns:?}"
+            );
+            assert_eq!(prog.stats().rank_compute_ns, ns);
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! 1. the driver moves each processor's local buffers *by value* into its
 //!    worker (an ownership handoff — pointer moves, no copying), together
 //!    with the [`ProgramPlan`] and the timestep's effective-send mask;
-//! 2. per superstep, every worker packs its local gather runs from its
-//!    own shards, then packs **one message per outgoing coalesced pair**
+//! 2. per superstep, every worker packs the own-shard runs of its packed
+//!    terms (in-place terms are read by the kernel where they lie, see
+//!    [`crate::plan`]), then packs **one message per outgoing coalesced pair**
 //!    hoisted to the phase and ships it; spent message buffers are
 //!    recycled through a shared free-list, so warm steps reuse wire
 //!    buffers instead of growing the heap;
@@ -24,8 +25,8 @@
 //!    mask — a damaged payload, or sender and receiver executing
 //!    different plans, surfaces as a typed [`ExchangeError`] before any
 //!    garbage is unpacked), unpacks them into its packed operand buffers
-//!    (kept across timesteps, per worker), and computes into its own LHS
-//!    shards;
+//!    (kept across timesteps, per worker and per plan of the timestep),
+//!    and computes into its own LHS shards;
 //! 4. the driver collects the shards back and reinstalls them. The
 //!    schedule itself was already cross-checked pair for pair against the
 //!    independent region-algebraic [`CommAnalysis`](crate::CommAnalysis)
@@ -58,11 +59,11 @@ use crate::array::DistArray;
 use crate::backend::{ExchangeBackend, ExchangeError};
 use crate::fault::{FaultPlan, FaultSwitch, SendAction};
 use crate::fuse::{BufferDomain, FusedState, ProgramPlan};
-use crate::plan::compute_proc;
-use crate::workspace::FusedWorkspace;
+use crate::plan::{compute_proc, pack_local_runs, split_lhs};
+use crate::workspace::{term_count, FusedWorkspace};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// One timestep's work order for a worker: the plan, the timestep's
@@ -144,22 +145,64 @@ const WORKER_TIMEOUT: Duration = Duration::from_secs(120);
 /// poll slice, so this comfortably covers the stragglers).
 const DRAIN_GRACE: Duration = Duration::from_millis(250);
 
-/// Per-worker fused-replay scratch, persistent across timesteps: the
-/// per-statement packed operand buffers ghost-region reuse relies on
-/// (`packed[s][t]` mirrors the shared path's `FusedWorkspace`), keyed by
-/// the plan's allocation so a new fused plan rebuilds them (the driver
-/// starts every new plan all-dirty, so the fresh zeros never reach a
-/// kernel), plus per-timestep arrival bookkeeping.
+/// A worker's buffers for one [`ProgramPlan`], persistent across
+/// timesteps: the per-statement packed operand buffers ghost-region reuse
+/// relies on (`packed[s][t]` mirrors the shared path's `FusedWorkspace`;
+/// a fresh set starts as zeros, which never reach a kernel because the
+/// driver starts every new plan all-dirty) and the cached per-pair
+/// effective totals.
+#[derive(Debug)]
+struct PlanBuffers {
+    /// [`ProgramPlan::id`] of the plan the buffers are shaped for.
+    id: u64,
+    /// The plan itself, held weakly: once the plan cache drops it, the
+    /// set is evicted on the next miss.
+    plan: Weak<ProgramPlan>,
+    packed: Vec<Vec<Vec<f64>>>,
+    eff_elems: Vec<usize>,
+    /// Mask version the cached `eff_elems` were computed for — steady
+    /// warm timesteps reuse them without rescanning the fused segments.
+    eff_version: Option<u64>,
+}
+
+/// Per-worker fused-replay scratch: one [`PlanBuffers`] per live plan (a
+/// per-statement timestep runs one plan per statement, and each keeps its
+/// buffers), the kernel's run cursors, and per-timestep arrival
+/// bookkeeping.
 #[derive(Debug, Default)]
 struct FusedScratch {
-    key: usize,
-    packed: Vec<Vec<Vec<f64>>>,
+    sets: Vec<PlanBuffers>,
+    cursors: Vec<usize>,
     arrived: Vec<bool>,
-    eff_elems: Vec<usize>,
-    /// `(plan key, mask version)` the cached `eff_elems` were computed
-    /// for — steady warm timesteps reuse them without rescanning the
-    /// fused segments.
-    eff_key: (usize, u64),
+}
+
+impl FusedScratch {
+    /// The buffer set for `plan`, built on first use (dropping the sets of
+    /// plans nobody holds any more) and reused by every later timestep.
+    fn buffers(&mut self, plan: &Arc<ProgramPlan>, me: usize) -> usize {
+        if let Some(k) = self.sets.iter().position(|b| b.id == plan.id()) {
+            return k;
+        }
+        self.sets.retain(|b| b.plan.strong_count() > 0);
+        let terms = plan.plans().iter().map(|p| term_count(p)).max().unwrap_or(0);
+        if self.cursors.len() < terms {
+            self.cursors.resize(terms, 0);
+        }
+        self.sets.push(PlanBuffers {
+            id: plan.id(),
+            plan: Arc::downgrade(plan),
+            packed: plan
+                .plans()
+                .iter()
+                .map(|p| {
+                    p.per_proc()[me].terms.iter().map(|t| vec![0.0f64; t.elements]).collect()
+                })
+                .collect(),
+            eff_elems: Vec::new(),
+            eff_version: None,
+        });
+        self.sets.len() - 1
+    }
 }
 
 /// Everything a worker thread needs besides the work order itself —
@@ -248,49 +291,38 @@ fn run_fused_step(
 ) -> Result<bool, ExchangeError> {
     let me = ctx.me;
     let me32 = me as u32;
-    let key = Arc::as_ptr(plan) as usize;
-    if scratch.key != key {
-        scratch.packed = plan
-            .plans()
-            .iter()
-            .map(|p| {
-                p.per_proc()[me].terms.iter().map(|t| vec![0.0f64; t.elements]).collect()
-            })
-            .collect();
-        scratch.key = key;
-    }
-    scratch.arrived.clear();
-    scratch.arrived.resize(plan.pairs().len(), false);
-    if scratch.eff_key != (key, eff_version) {
-        scratch.eff_elems.clear();
-        scratch
-            .eff_elems
-            .extend((0..plan.pairs().len()).map(|k| plan.pair_eff_elements(k, eff)));
-        scratch.eff_key = (key, eff_version);
+    let set = scratch.buffers(plan, me);
+    let FusedScratch { sets, cursors, arrived } = scratch;
+    let PlanBuffers { packed, eff_elems, eff_version: cached, .. } = &mut sets[set];
+    arrived.clear();
+    arrived.resize(plan.pairs().len(), false);
+    if *cached != Some(eff_version) {
+        eff_elems.clear();
+        eff_elems.extend((0..plan.pairs().len()).map(|k| plan.pair_eff_elements(k, eff)));
+        *cached = Some(eff_version);
     }
 
     for phase in 0..plan.supersteps().len() {
-        // pack this superstep's local runs from this worker's own shards
+        // pack this superstep's packed terms' own runs from this worker's
+        // own shards
         for &s in &plan.supersteps()[phase].stmts {
-            let pp = &plan.plans()[s].per_proc()[me];
-            for (ts, buf) in pp.terms.iter().zip(scratch.packed[s].iter_mut()) {
-                for r in ts.runs.iter().filter(|r| r.src == me32) {
-                    buf[r.dst_off..r.dst_off + r.len]
-                        .copy_from_slice(&shards[ts.array][r.src_off..r.src_off + r.len]);
-                }
-            }
+            let own = |a: usize| {
+                let shard = &shards[a][..];
+                move |src: u32| (src == me32).then_some(shard)
+            };
+            pack_local_runs(&plan.plans()[s].per_proc()[me], own, &mut packed[s]);
         }
         // ship every outgoing pair hoisted to this phase
         for (k, pair) in plan.pairs().iter().enumerate() {
-            if pair.pack_phase != phase || pair.sender != me32 || scratch.eff_elems[k] == 0 {
+            if pair.pack_phase != phase || pair.sender != me32 || eff_elems[k] == 0 {
                 continue;
             }
             let mut data = pool_lock(&ctx.pool).pop().unwrap_or_default();
             data.clear();
-            data.reserve(scratch.eff_elems[k]);
+            data.reserve(eff_elems[k]);
             // a pair that ships whole (always, without ghost reuse) skips
             // the per-segment mask lookup
-            let whole = scratch.eff_elems[k] == pair.elements;
+            let whole = eff_elems[k] == pair.elements;
             for seg in pair.segments.iter().filter(|s| whole || eff[s.unit]) {
                 data.extend_from_slice(&shards[seg.array][seg.src_off..seg.src_off + seg.len]);
             }
@@ -304,8 +336,8 @@ fn run_fused_step(
             let waiting = plan.pairs().iter().enumerate().any(|(k, p)| {
                 p.superstep == phase
                     && p.receiver == me32
-                    && scratch.eff_elems[k] > 0
-                    && !scratch.arrived[k]
+                    && eff_elems[k] > 0
+                    && !arrived[k]
             });
             if !waiting {
                 break;
@@ -325,28 +357,28 @@ fn run_fused_step(
             // sender and receiver hold the same mask, so a length
             // mismatch means the payload was damaged in flight or they
             // executed different fused plans
-            if data.len() != scratch.eff_elems[k] {
+            if data.len() != eff_elems[k] {
                 return Err(ExchangeError::CorruptMessage {
                     sender: from,
                     receiver: me32,
                     step,
                     got: data.len(),
-                    expected: scratch.eff_elems[k],
+                    expected: eff_elems[k],
                 });
             }
             let mut off = 0usize;
-            let whole = scratch.eff_elems[k] == pair.elements;
+            let whole = eff_elems[k] == pair.elements;
             let (mut stmt, mut bufs): (usize, &mut [Vec<f64>]) = (usize::MAX, &mut []);
             for seg in pair.segments.iter().filter(|s| whole || eff[s.unit]) {
                 if seg.stmt != stmt {
                     stmt = seg.stmt;
-                    bufs = &mut scratch.packed[stmt];
+                    bufs = &mut packed[stmt];
                 }
                 bufs[seg.term][seg.dst_off..seg.dst_off + seg.len]
                     .copy_from_slice(&data[off..off + seg.len]);
                 off += seg.len;
             }
-            scratch.arrived[k] = true;
+            arrived[k] = true;
             pool_lock(&ctx.pool).push(data);
         }
         // compute this superstep's statements into this worker's shards
@@ -355,10 +387,13 @@ fn run_fused_step(
         let t0 = Instant::now();
         for &s in &plan.supersteps()[phase].stmts {
             let sp = &plan.plans()[s];
+            let (out, operand) = split_lhs(shards, sp.lhs());
             compute_proc(
                 &sp.per_proc()[me],
-                &mut shards[sp.lhs()],
-                &scratch.packed[s],
+                out,
+                |a| &operand(a)[..],
+                &packed[s],
+                cursors,
                 sp.combine(),
             );
         }

@@ -18,10 +18,11 @@
 //! 3. **Race freedom** — the parallel executor's partitioning gives every
 //!    simulated processor to exactly one worker (store sets cannot
 //!    intersect), and the pack → exchange → compute happens-before order
-//!    is sound: every pack-buffer position is filled exactly once before
-//!    compute reads it, and no remote read bypasses the exchange (the
-//!    RAW/WAR hazard check that makes LHS-aliasing statements under
-//!    shifted sections safe).
+//!    is sound: every operand position is filled exactly once before
+//!    compute reads it (packed, or read in place from the owning shard),
+//!    no remote read bypasses the exchange, and no in-place term reads
+//!    the statement's LHS array (the RAW/WAR hazard check that makes
+//!    LHS-aliasing statements under shifted sections safe).
 //! 4. **Deadlock freedom** — the per-pair [`PairSchedule`](crate::PairSchedule)s form a
 //!    schedulable BSP superstep: no self-message, a strict total order
 //!    over pairs, every send matched by the receive the receiver's gather
@@ -285,6 +286,22 @@ pub enum DiagnosticKind {
         /// Consecutive doubly-filled positions.
         len: usize,
     },
+    /// An in-place term reads an array that a store of the same superstep
+    /// can overwrite before or while the kernel reads it: its own
+    /// statement's LHS array (`A(2:N) = A(1:N-1)` read in place would see
+    /// elements already shifted) or the LHS of an earlier statement fused
+    /// into the same superstep. Such a term must be packed — the pack is
+    /// the snapshot that keeps the pre-assignment values.
+    InPlaceAlias {
+        /// Zero-based processor whose term schedule reads in place.
+        proc: u32,
+        /// Statement index (within the fused plan; 0 for a lone plan).
+        stmt: usize,
+        /// RHS term index.
+        term: usize,
+        /// The aliased array.
+        array: usize,
+    },
     /// A remote gather has no delivering message: on a message-passing
     /// backend the position would be read before any exchange wrote it —
     /// a read-after-write hazard across the superstep phases.
@@ -447,7 +464,10 @@ pub enum DiagnosticKind {
         plans: usize,
     },
     /// Two statements fused into the same superstep have a RAW or WAW
-    /// conflict — their kernels would race on the shared array.
+    /// conflict — their kernels would race on the shared array — or a
+    /// statement sits on another level than its RAW/WAW/WAR predecessors
+    /// force (a writer scheduled before an earlier reader of its array
+    /// would hand that reader the new values).
     FusedHazard {
         /// The superstep holding both statements.
         superstep: usize,
@@ -617,6 +637,11 @@ impl fmt::Display for DiagnosticKind {
                 "p{proc} term {term}: pack position(s) {offset}..{} filled more than \
                  once",
                 offset + len
+            ),
+            InPlaceAlias { proc, stmt, term, array } => write!(
+                f,
+                "p{proc} statement #{stmt} term {term}: reads array #{array} in \
+                 place, but a store of the same superstep writes it"
             ),
             ReadBeforeExchange { proc, term, src, src_off, len } => write!(
                 f,
@@ -1079,6 +1104,13 @@ pub fn verify_plan(
                 );
                 continue;
             }
+            if ts.in_place && ts.array == plan.lhs() {
+                push(
+                    Property::RaceFreedom,
+                    DiagnosticKind::InPlaceAlias { proc: me, stmt: 0, term: t, array: ts.array },
+                    &mut diags,
+                );
+            }
             if ts.elements != volume {
                 push(
                     Property::Bounds,
@@ -1472,7 +1504,10 @@ impl fmt::Display for FusionReport {
 /// constituent plan at its own insertion):
 ///
 /// * **race freedom** — no two statements fused into one superstep have a
-///   RAW or WAW conflict; every pair's pack phase equals the earliest
+///   RAW or WAW conflict, no writer runs in an earlier superstep than an
+///   earlier reader of its array, no in-place term reads an array its own
+///   or an earlier statement of the superstep writes; every pair's pack
+///   phase equals the earliest
 ///   superstep past all of its in-timestep writers and does not exceed
 ///   its home superstep; every dirty-tracking unit's static
 ///   `intra_dirty`/`post_dirty` flags match a re-derivation from the
@@ -1494,7 +1529,7 @@ pub fn verify_program_plan(
     stmts: &[Assignment],
     plan: &crate::fuse::ProgramPlan,
 ) -> FusionReport {
-    use crate::fuse::{intersects, merge_intervals};
+    use crate::fuse::{intersects, merge_intervals, superstep_levels};
 
     let mut diags: Vec<Diagnostic> = Vec::new();
     let push = |property: Property, kind: DiagnosticKind, diags: &mut Vec<Diagnostic>| {
@@ -1539,17 +1574,7 @@ pub fn verify_program_plan(
     }
 
     // ---- re-derive the level schedule and per-statement store intervals ----
-    let n = stmts.len();
-    let mut level = vec![0usize; n];
-    for s in 0..n {
-        for r in 0..s {
-            let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
-            let waw = stmts[s].lhs == stmts[r].lhs;
-            if raw || waw {
-                level[s] = level[s].max(level[r] + 1);
-            }
-        }
-    }
+    let level = superstep_levels(stmts);
     let np = plan.np();
     let writes: Vec<Vec<Vec<(usize, usize)>>> = plan
         .plans()
@@ -1596,6 +1621,31 @@ pub fn verify_program_plan(
                         },
                         &mut diags,
                     );
+                }
+            }
+        }
+    }
+
+    // ---- race freedom (b): in-place reads see no same-superstep store ----
+    // a superstep computes in program order, so an in-place term is safe
+    // unless its own statement or an earlier one of the superstep writes
+    // the array it reads
+    for step in plan.supersteps() {
+        for (i, &s) in step.stmts.iter().enumerate() {
+            for pp in plan.plans()[s].per_proc() {
+                for (t, ts) in pp.terms.iter().enumerate().filter(|(_, ts)| ts.in_place) {
+                    if step.stmts[..=i].iter().any(|&r| stmts[r].lhs == ts.array) {
+                        push(
+                            Property::RaceFreedom,
+                            DiagnosticKind::InPlaceAlias {
+                                proc: pp.proc.zero_based() as u32,
+                                stmt: s,
+                                term: t,
+                                array: ts.array,
+                            },
+                            &mut diags,
+                        );
+                    }
                 }
             }
         }
@@ -2077,6 +2127,49 @@ mod tests {
         let report = verify_plan(&arrays, &stmt, &plan);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.verdict, AnalysisVerdict::Exact);
+    }
+
+    #[test]
+    fn in_place_alias_is_caught() {
+        // A(2:16) = A(1:15) read in place would see the elements the
+        // kernel has just shifted: inspect packs the term, and a plan
+        // mutated to read it in place is refuted by both passes
+        let mut ds = DataSpace::new(4);
+        let a = ds.declare("A", IndexDomain::of_shape(&[16]).unwrap()).unwrap();
+        ds.distribute(a, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
+        let arrays =
+            vec![DistArray::from_fn("A", ds.effective(a).unwrap(), 4, |i| i[0] as f64)];
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|x| x.domain()).collect();
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, 16)]),
+            vec![Term::new(0, Section::from_triplets(vec![span(1, 15)]))],
+            Combine::Copy,
+            &doms,
+        )
+        .unwrap();
+        let mut plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+        assert!(plan.per_proc().iter().all(|pp| !pp.terms[0].in_place));
+        for pp in plan.per_proc_mut() {
+            pp.terms[0].in_place = true;
+        }
+        let only_alias = |diags: &[Diagnostic]| {
+            !diags.is_empty()
+                && diags.iter().all(|d| {
+                    d.property == Property::RaceFreedom
+                        && matches!(
+                            d.kind,
+                            DiagnosticKind::InPlaceAlias { stmt: 0, term: 0, array: 0, .. }
+                        )
+                })
+        };
+        let report = verify_plan(&arrays, &stmt, &plan);
+        assert!(only_alias(&report.diagnostics), "{report}");
+        assert_eq!(report.diagnostics.len(), 4, "one per processor: {report}");
+        let stmts = [stmt];
+        let fused = crate::fuse::ProgramPlan::compile(&stmts, vec![std::sync::Arc::new(plan)]);
+        let report = verify_program_plan(&arrays, &stmts, &fused);
+        assert!(only_alias(&report.diagnostics), "{report}");
     }
 
     #[test]

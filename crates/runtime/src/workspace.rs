@@ -1,8 +1,14 @@
 //! Reusable execution scratch — the zero-allocation warm-replay contract.
 //!
 //! A [`PlanWorkspace`] owns the per-processor, per-term packed operand
-//! buffers a plan replay fills during its pack phase. Building one costs
-//! the allocations once; every subsequent
+//! buffers a plan replay fills during its pack and exchange phases, plus
+//! the compute kernel's per-term run cursors. A packed term's buffer holds
+//! its whole operand (own-shard runs and ghosts); an in-place term's
+//! buffer receives only its ghost positions — the kernel reads its
+//! own-shard runs straight from the operand shard, so those pages of the
+//! buffer are never written (see [`crate::plan`] for which terms go in
+//! place and why). Building one costs the allocations once; every
+//! subsequent
 //! [`ExecPlan::execute_seq_with`](crate::ExecPlan::execute_seq_with)
 //! against the same plan reuses the buffers, so a **warm replay performs
 //! zero heap allocations**. A [`FusedWorkspace`] does the same for a whole
@@ -19,10 +25,12 @@ use crate::plan::ExecPlan;
 
 /// Preallocated pack buffers for one [`ExecPlan`]: `bufs[p][t]` is the
 /// packed operand buffer of simulated processor `p` for RHS term `t`,
-/// sized to exactly the processor's computed volume.
+/// sized to exactly the processor's computed volume, and one kernel run
+/// cursor per term.
 #[derive(Debug, Clone, Default)]
 pub struct PlanWorkspace {
     pub(crate) bufs: Vec<Vec<Vec<f64>>>,
+    pub(crate) cursors: Vec<usize>,
 }
 
 impl PlanWorkspace {
@@ -44,7 +52,8 @@ impl PlanWorkspace {
     /// needs (in which case a replay reuses them without allocating).
     pub fn matches(&self, plan: &ExecPlan) -> bool {
         let per_proc = plan.per_proc();
-        self.bufs.len() == per_proc.len()
+        self.cursors.len() == term_count(plan)
+            && self.bufs.len() == per_proc.len()
             && self.bufs.iter().zip(per_proc).all(|(bufs, pp)| {
                 bufs.len() == pp.terms.len()
                     && bufs.iter().zip(&pp.terms).all(|(b, ts)| b.len() == ts.elements)
@@ -62,6 +71,7 @@ impl PlanWorkspace {
             .iter()
             .map(|pp| pp.terms.iter().map(|ts| vec![0.0f64; ts.elements]).collect())
             .collect();
+        self.cursors = vec![0; term_count(plan)];
     }
 
     /// Total `f64` elements held across all pack buffers (the workspace's
@@ -69,6 +79,11 @@ impl PlanWorkspace {
     pub fn buffer_elements(&self) -> usize {
         self.bufs.iter().flatten().map(Vec::len).sum()
     }
+}
+
+/// Terms per processor schedule of `plan` (one kernel cursor each).
+pub(crate) fn term_count(plan: &ExecPlan) -> usize {
+    plan.per_proc().iter().map(|pp| pp.terms.len()).max().unwrap_or(0)
 }
 
 /// Preallocated scratch for a fused timestep (see [`crate::ProgramPlan`]):

@@ -16,8 +16,7 @@ mod support;
 
 use hpf::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
-use support::{gb_sizes, mapping_of, run_statement};
+use support::{mapping_2d, mapping_of, run_statement};
 
 fn build_arrays(n: usize, np: usize, ka: u8, kb: u8, seed: u64) -> Vec<DistArray<f64>> {
     vec![
@@ -40,34 +39,6 @@ fn build_stmt(n: i64, combine_k: u8, arrays: &[DistArray<f64>]) -> Assignment {
     };
     Assignment::new(0, Section::from_triplets(vec![span(2, n)]), terms, combine, &doms)
         .unwrap()
-}
-
-/// A random 2-D mapping over an `np_side × np_side` grid (kind == 16 is
-/// full replication).
-fn mapping_2d(kind: u8, n: usize, np_side: usize, seed: u64) -> Arc<EffectiveDist> {
-    let np = np_side * np_side;
-    if kind >= 16 {
-        return Arc::new(EffectiveDist::Replicated {
-            domain: IndexDomain::of_shape(&[n, n]).unwrap(),
-            procs: ProcSet::all(np),
-        });
-    }
-    let fmt = |k: u8, s: u64| match k % 4 {
-        0 => FormatSpec::Block,
-        1 => FormatSpec::Cyclic(1),
-        2 => FormatSpec::Cyclic(2),
-        _ => FormatSpec::GeneralBlockSizes(gb_sizes(n, np_side, s)),
-    };
-    let mut ds = DataSpace::new(np);
-    ds.declare_processors("G", IndexDomain::of_shape(&[np_side, np_side]).unwrap())
-        .unwrap();
-    let a = ds.declare("M", IndexDomain::of_shape(&[n, n]).unwrap()).unwrap();
-    ds.distribute(
-        a,
-        &DistributeSpec::to(vec![fmt(kind % 4, seed), fmt(kind / 4, seed ^ 0x2e)], "G"),
-    )
-    .unwrap();
-    ds.effective(a).unwrap()
 }
 
 /// A 2-D stencil-flavored statement over `A(2:n-1, 2:n-1)`.

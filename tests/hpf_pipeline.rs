@@ -95,6 +95,33 @@ fn warm_timesteps_replay_from_the_plan_cache() {
     assert_eq!(fs.supersteps, 2, "RAW dependency forces two supersteps");
 }
 
+/// `inplace_mix.hpf` shows each operand path of the compute kernel: the
+/// 2-D BLOCK stencil reads every term in place, the CYCLIC-fed copy and
+/// the self-aliased shift are packed.
+#[test]
+fn inplace_mix_reads_only_long_unaliased_runs_in_place() {
+    let (name, src) = program_sources()
+        .into_iter()
+        .find(|(n, _)| n.contains("inplace_mix"))
+        .expect("inplace_mix.hpf ships");
+    let elab = Elaborator::new(np_for(&name)).run(&src).expect("elaborates");
+    let (lowered, diags) = Lowerer::lower(&elab);
+    assert!(diags.is_empty(), "{diags:?}");
+    let prog = &lowered.program;
+    let in_place: Vec<Vec<bool>> = prog
+        .statements()
+        .iter()
+        .map(|stmt| {
+            let plan = ExecPlan::inspect(&prog.arrays, stmt).unwrap();
+            plan.per_proc().iter().flat_map(|pp| pp.terms.iter().map(|t| t.in_place)).collect()
+        })
+        .collect();
+    assert_eq!(in_place.len(), 3);
+    assert!(in_place[0].iter().all(|&b| b), "stencil: {:?}", in_place[0]);
+    assert!(in_place[1].iter().all(|&b| !b), "CYCLIC-fed copy: {:?}", in_place[1]);
+    assert!(in_place[2].iter().all(|&b| !b), "self-aliased shift: {:?}", in_place[2]);
+}
+
 /// Acceptance: a source with three or more distinct syntax errors reports
 /// every one of them, each with a span, in a single run.
 #[test]

@@ -17,7 +17,7 @@ mod support;
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
-use support::mapping_of;
+use support::{mapping_2d, mapping_of};
 
 /// Three 1-D arrays over independently random mappings.
 fn build_arrays(n: usize, np: usize, kinds: [u8; 3], seed: u64) -> Vec<DistArray<f64>> {
@@ -57,6 +57,77 @@ fn build_stmt(shape: u8, n: i64, arrays: &[DistArray<f64>]) -> Assignment {
 
 fn mid_section(n: i64) -> Triplet {
     span(2, n - 1)
+}
+
+/// Arrays `A`, `B`, `C` over random mappings (replication included) and a
+/// replicated, never-written `D` — 1-D over `[n]` on `np` processors, or
+/// 2-D over `[n, n]` on a 2 × 2 grid. BLOCK and GENERAL_BLOCK shards feed
+/// long own-shard runs (terms read in place), CYCLIC ones short runs
+/// (terms packed).
+fn build_mix_arrays(
+    two_d: bool,
+    n: usize,
+    np: usize,
+    kinds: [u8; 3],
+    seed: u64,
+) -> Vec<DistArray<f64>> {
+    let (np, map): (usize, &dyn Fn(u8, u64) -> Arc<EffectiveDist>) = if two_d {
+        (4, &|k, s| mapping_2d(k % 17, n, 2, s))
+    } else {
+        (np, &|k, s| mapping_of(k, n, np, s))
+    };
+    let replicated = if two_d { 16 } else { 5 };
+    ["A", "B", "C", "D"]
+        .into_iter()
+        .enumerate()
+        .map(|(k, name)| {
+            let kind = kinds.get(k).copied().unwrap_or(replicated);
+            let init = move |i: &Idx| {
+                (i[0] * (k as i64 + 2) + if two_d { i[1] * 5 } else { 0 } - 3) as f64
+            };
+            DistArray::from_fn(name, map(kind, seed ^ (k as u64 * 0x9e37)), np, init)
+        })
+        .collect()
+}
+
+/// One statement of the in-place mix over `(2:n-1, …)`, shifting its
+/// reads by ±1 along one axis:
+///
+/// 0. `A = A(shifted)` — a self-aliased term (always packed);
+/// 1. `B = Σ` nine shifted `A`, `C`, `D` terms — more than eight terms;
+/// 2. `C = avg(B(-1), B(+1))` — reads `B`;
+/// 3. `B = max(D(-1), D(+1))` — writes `B` after shape 2 read it: a WAR
+///    pair inside one superstep, over the replicated `D`;
+/// 4. `A = C + D` — a RAW chain behind shape 2.
+fn build_mix_stmt(shape: u8, two_d: bool, n: i64, arrays: &[DistArray<f64>]) -> Assignment {
+    let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+    let dims = if two_d { 2 } else { 1 };
+    let sec = |axis: usize, shift: i64| {
+        Section::from_triplets(
+            (0..dims)
+                .map(|d| {
+                    let s = if d == axis % dims { shift } else { 0 };
+                    span(2 + s, n - 1 + s)
+                })
+                .collect(),
+        )
+    };
+    let (lhs, combine, terms) = match shape % 5 {
+        0 => (0usize, Combine::Copy, vec![Term::new(0, sec(0, -1))]),
+        1 => {
+            let terms = [0usize, 2, 3]
+                .into_iter()
+                .enumerate()
+                .flat_map(|(axis, a)| (-1..=1).map(move |s| (axis, a, s)))
+                .map(|(axis, a, s)| Term::new(a, sec(axis, s)))
+                .collect();
+            (1, Combine::Sum, terms)
+        }
+        2 => (2, Combine::Average, vec![Term::new(1, sec(1, -1)), Term::new(1, sec(1, 1))]),
+        3 => (1, Combine::Max, vec![Term::new(3, sec(0, -1)), Term::new(3, sec(0, 1))]),
+        _ => (0, Combine::Sum, vec![Term::new(2, sec(0, 0)), Term::new(3, sec(0, 0))]),
+    };
+    Assignment::new(lhs, sec(0, 0), terms, combine, &doms).unwrap()
 }
 
 /// Apply one timestep's statements to a dense oracle copy, statement by
@@ -149,6 +220,61 @@ proptest! {
         // the per-statement path honours its backend: the SPMD fleet ran it
         prop_assert_eq!(paths[2].program().spmd_workers_spawned(), np as u64);
         prop_assert_eq!(paths[3].program().spmd_workers_spawned(), 0);
+    }
+
+    /// In-place operand reads ≡ packed reads: random 1-D and 2-D mappings
+    /// mixing long runs (read in place) and short runs (packed), over a
+    /// timestep holding a self-aliased term, a WAR pair inside one
+    /// superstep, a replicated operand and a nine-term statement — both
+    /// backends, fused and per statement, equal the dense oracle bit for
+    /// bit.
+    #[test]
+    fn in_place_mix_matches_oracle(
+        dims in 1usize..3,
+        n in 8usize..28,
+        np in 2usize..5,
+        ka in 0u8..17,
+        kb in 0u8..17,
+        kc in 0u8..17,
+        seed in 0u64..1000,
+        tail in proptest::collection::vec(0u8..5, 0..3),
+        timesteps in 1usize..4,
+    ) {
+        let two_d = dims == 2;
+        let arrays = build_mix_arrays(two_d, n, np, [ka, kb, kc], seed);
+        let shapes: Vec<u8> = [2u8, 3, 0, 1].into_iter().chain(tail).collect();
+        let stmts: Vec<Assignment> =
+            shapes.iter().map(|&s| build_mix_stmt(s, two_d, n as i64, &arrays)).collect();
+        let mut oracle = arrays.clone();
+        let mut paths: Vec<Session> = {
+            let mut ps = programs(&arrays, &stmts, 4).into_iter();
+            vec![
+                Session::new(ps.next().unwrap()),
+                Session::new(ps.next().unwrap()).backend(Backend::Channels),
+                Session::new(ps.next().unwrap()).backend(Backend::Channels).fused(false),
+                Session::new(ps.next().unwrap()).fused(false),
+            ]
+        };
+        let bits =
+            |a: &DistArray<f64>| a.to_dense().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for _ in 0..timesteps {
+            oracle_step(&mut oracle, &stmts);
+            for (which, path) in paths.iter_mut().enumerate() {
+                path.run(1).unwrap();
+                for (k, o) in oracle.iter().enumerate() {
+                    prop_assert_eq!(
+                        bits(&path.program().arrays[k]),
+                        bits(o),
+                        "path {} array {} diverged from the dense oracle",
+                        which,
+                        k
+                    );
+                }
+            }
+        }
+        // the WAR pair (shapes 2 then 3) and the self-aliased shift share
+        // the first superstep of the fused plan
+        prop_assert!(paths[0].program().fusion_stats().supersteps < stmts.len());
     }
 
     /// A mid-trajectory `REDISTRIBUTE` of a random array invalidates the

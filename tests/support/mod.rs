@@ -49,6 +49,36 @@ pub fn mapping_of(kind: u8, n: usize, np: usize, seed: u64) -> Arc<EffectiveDist
     ds.effective(a).unwrap()
 }
 
+/// A random 2-D mapping over `[n, n]` on an `np_side × np_side` grid:
+/// each axis BLOCK, CYCLIC(1), CYCLIC(2) or GENERAL_BLOCK (`kind % 4` for
+/// the first axis, `kind / 4 % 4` for the second), or full replication
+/// when `kind >= 16`.
+pub fn mapping_2d(kind: u8, n: usize, np_side: usize, seed: u64) -> Arc<EffectiveDist> {
+    let np = np_side * np_side;
+    if kind >= 16 {
+        return Arc::new(EffectiveDist::Replicated {
+            domain: IndexDomain::of_shape(&[n, n]).unwrap(),
+            procs: ProcSet::all(np),
+        });
+    }
+    let fmt = |k: u8, s: u64| match k % 4 {
+        0 => FormatSpec::Block,
+        1 => FormatSpec::Cyclic(1),
+        2 => FormatSpec::Cyclic(2),
+        _ => FormatSpec::GeneralBlockSizes(gb_sizes(n, np_side, s)),
+    };
+    let mut ds = DataSpace::new(np);
+    ds.declare_processors("G", IndexDomain::of_shape(&[np_side, np_side]).unwrap())
+        .unwrap();
+    let a = ds.declare("M", IndexDomain::of_shape(&[n, n]).unwrap()).unwrap();
+    ds.distribute(
+        a,
+        &DistributeSpec::to(vec![fmt(kind % 4, seed), fmt(kind / 4, seed ^ 0x55)], "G"),
+    )
+    .unwrap();
+    ds.effective(a).unwrap()
+}
+
 /// Execute `stmt` once on `backend` as a one-statement program run per
 /// statement (every ghost ships), returning the program afterwards.
 pub fn run_statement(arrays: Vec<DistArray<f64>>, stmt: &Assignment, backend: Backend) -> Program {

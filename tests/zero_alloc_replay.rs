@@ -20,26 +20,40 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocator entry point (allocations and reallocations —
-/// frees are irrelevant to the contract) on top of the system allocator.
+/// frees are irrelevant to the contract) on top of the system allocator,
+/// and separately those of at least [`BIG`] bytes.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Threshold of [`BIG_ALLOCS`]: above every channel block, command and
+/// message buffer a warm `Channels` timestep of [`stencil_program`]`(130)`
+/// moves, below its packed operand buffers (64 × 64 `f64`s per term).
+const BIG: usize = 16 << 10;
+
+fn count(layout: Layout) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if layout.size() >= BIG {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: delegates verbatim to `System`; the only addition is a relaxed
 // counter bump, which cannot violate the GlobalAlloc contract.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(Layout::from_size_align(new_size, layout.align()).unwrap_or(layout));
         System.realloc(ptr, layout, new_size)
     }
 
@@ -55,11 +69,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// so each test holds this lock across its measurement window.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// A 2-statement iterated program: a 2-D 5-point-flavored stencil sweep
-/// plus a 1-D-sectioned copy-back, over block-distributed arrays on a
-/// 2 × 2 grid — the `b12`/`b13` warm-replay shape.
-fn stencil_program() -> Program {
-    let n = 24i64;
+/// A 2-statement iterated program over `n × n` arrays: a 2-D
+/// 5-point-flavored stencil sweep plus a 1-D-sectioned copy-back, over
+/// block-distributed arrays on a 2 × 2 grid — the `b12`/`b13` warm-replay
+/// shape.
+fn stencil_program(n: i64) -> Program {
     let np = 4usize;
     let mut ds = DataSpace::new(np);
     ds.declare_processors("G", IndexDomain::of_shape(&[2, 2]).unwrap()).unwrap();
@@ -108,7 +122,7 @@ fn stencil_program() -> Program {
 #[test]
 fn warm_session_run_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
-    let mut sess = Session::new(stencil_program());
+    let mut sess = Session::new(stencil_program(24));
     // cold timesteps: inspection, workspace construction, result-buffer
     // growth — all allocation happens here
     sess.run(2).unwrap();
@@ -138,7 +152,7 @@ fn warm_session_run_allocates_nothing() {
 #[test]
 fn warm_parallel_run_reuses_spmd_workers() {
     let _serial = SERIAL.lock().unwrap();
-    let mut sess = Session::new(stencil_program()).backend(Backend::Channels);
+    let mut sess = Session::new(stencil_program(24)).backend(Backend::Channels);
     // cold parallel timesteps: plan inspection plus the one-time spawn of
     // the persistent SPMD worker fleet (one worker per simulated processor)
     sess.run(2).unwrap();
@@ -178,7 +192,7 @@ fn warm_cache_replay_allocates_nothing() {
     // the same contract on the per-statement path: every statement is its
     // own one-statement program plan with every ghost shipped, through the
     // same cache call and workspace type as the fused timestep
-    let mut sess = Session::new(stencil_program()).fused(false);
+    let mut sess = Session::new(stencil_program(24)).fused(false);
     sess.run(2).unwrap();
     let shipped = sess.program().backend_bytes_sent();
     assert!(shipped > 0);
@@ -194,4 +208,28 @@ fn warm_cache_replay_allocates_nothing() {
     // no ghost reuse: every warm timestep ships what the cold one did
     assert_eq!(sess.program().backend_bytes_sent(), shipped / 2 * 5);
     assert_eq!(sess.program().fusion_stats().ghost_elements_avoided, 0);
+}
+
+#[test]
+fn warm_unfused_channels_run_keeps_operand_buffers() {
+    let _serial = SERIAL.lock().unwrap();
+    // a per-statement timestep runs one program plan per statement, so
+    // every worker switches plans twice per timestep; each plan's packed
+    // operand buffers must survive the switch instead of being rebuilt
+    let mut sess = Session::new(stencil_program(130)).backend(Backend::Channels).fused(false);
+    sess.run(2).unwrap();
+    let before = BIG_ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..3 {
+        sess.run(1).unwrap();
+    }
+    let after = BIG_ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "warm per-statement Channels timesteps rebuilt operand buffers \
+         ({} allocations of ≥ {BIG} bytes in 3 timesteps)",
+        after - before
+    );
+    assert_eq!(sess.program().spmd_workers_spawned(), 4);
+    assert_eq!(sess.program().cache_hits(), 2 + 3 * 2);
 }
